@@ -2,7 +2,8 @@
 # CI entry point:
 #   1. static analysis: yukta-lint (always) + clang-tidy / cppcheck
 #      when the tools exist on the runner,
-#   2. tier-1 build + full ctest,
+#   2. tier-1 build + full ctest, the bench smokes, and the
+#      repository benchmark's traced fleet-churn run (perfbench/),
 #   3. contracts build (-DYUKTA_CHECKS=ON -DYUKTA_WERROR=ON) + full
 #      ctest with every YUKTA_REQUIRE / YUKTA_ENSURE / CHECK_FINITE
 #      active,
@@ -43,10 +44,9 @@ echo "=== micro-bench smoke: batched vs pointwise freq response ==="
 # the timings land in the JSON for trend inspection, never gate CI.
 ./build/bench/bench_micro_freq --quick --out build/BENCH_micro_freq.json
 
-echo "=== micro-bench smoke: per-tick controller cost + batch oracle ==="
-# Correctness-gated twice: the fixed-point path must track the double
-# oracle, and the batched tick engine must match per-instance stepping
-# bit for bit.
+echo "=== micro-bench smoke: per-tick controller cost ==="
+# Correctness-gated: the fixed-point path must track the double
+# oracle (control::stepOnce).
 ./build/bench/bench_micro_tick --quick --out build/BENCH_micro_tick.json
 
 echo "=== fleet smoke: admission gates + 1-vs-N determinism ==="
@@ -87,6 +87,20 @@ if [[ "$FULL_DIGEST" != "$RESUME_DIGEST" ]]; then
     exit 1
 fi
 echo "crash-resume digests match: $FULL_DIGEST"
+
+echo "=== repository benchmark: fleet-churn, traced replica ==="
+# perfbench/ compiles against names in src/ (FleetBoard fields,
+# stepPeriodBegin, ...), so this is what notices a src/ change that
+# breaks the benchmark. run.py exits 0 even when a check fails, so
+# the gate is the "correct" field of its last (JSON) line.
+BENCH_OUT="$(CARGO_TARGET_DIR=build-bench python3 perfbench/run.py \
+    --workload fleet-churn --trace 1)"
+echo "$BENCH_OUT"
+if ! tail -n 1 <<<"$BENCH_OUT" | python3 -c \
+        'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'; then
+    echo "benchmark smoke FAILED: not every check passed"
+    exit 1
+fi
 
 # The generic analyzers read build/compile_commands.json (exported by
 # default), so they run after the configure step. Both are gated on
@@ -136,12 +150,12 @@ if echo 'int main() { return 0; }' \
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir build-tsan -R '^test_runner$' --output-on-failure
     # The fleet's shared-nothing shard phase is the other place real
-    # threads touch shared state; the 1-vs-N digest test drives it
-    # with 1, 2, and 4 workers, and the batch-vs-scalar test covers
-    # the per-shard BatchRuntime instances under the same counts.
+    # threads touch shared state; the 1-vs-N digest tests drive it
+    # with 1, 2, and 4 workers, healthy and faulted (crash, hang, and
+    # the watchdog's retried shard attempts).
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_fleet \
-        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetBatch.BatchMatchesScalarDigestForAllWorkerCounts'
+        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetFaults.FaultedRunIsBitIdenticalForAnyWorkerCount'
 else
     rm -f "$TSAN_PROBE"
     echo "=== ThreadSanitizer unavailable on this toolchain; skipping ==="

@@ -71,9 +71,6 @@ usage()
         "  --fault-blind       disable the watchdog and fault-aware\n"
         "                      routing (the baseline the faults bench\n"
         "                      compares against)\n"
-        "  --scalar-tick       tick boards one at a time instead of\n"
-        "                      through the batched matrix-matrix pass\n"
-        "                      (bit-identical result; for comparison)\n"
         "  --watchdog-attempts=N  shard tries per epoch (default 2)\n"
         "  --checkpoint-every=N   checkpoint every N epochs\n"
         "  --checkpoint-dir=DIR   where checkpoints go (created;\n"
@@ -128,8 +125,6 @@ main(int argc, char** argv)
             cfg.cluster.enabled = false;
         } else if (std::strcmp(a, "--fault-blind") == 0) {
             cfg.fault_aware = false;
-        } else if (std::strcmp(a, "--scalar-tick") == 0) {
-            cfg.batch_tick = false;
         } else if (std::strcmp(a, "--adapt") == 0) {
             cfg.adapt = true;
         } else if (std::strcmp(a, "--digest") == 0) {

@@ -3,144 +3,22 @@
 
 /**
  * @file
- * Batched tick engine: advances N staged controller runtimes that
- * share one shape-class (bit-identical (A, B, C, D)) with one
- * cache-blocked matrix-matrix pass per tick instead of N independent
- * matrix-vector passes.
- *
- * States are packed structure-of-arrays: for each group the engine
- * gathers the members' state vectors as columns of an n x N block,
- * the staged inputs as an m x N block, runs four gemmDense passes
- * (C*X, D*DY, A*X, B*DY), and scatters u = CX + DDY and
- * x' = AX + BDY back per member.
- *
- * Bit-identity contract (see DESIGN.md "Batched tick engine"): the
- * batched pass reproduces control::stepOnce exactly because
- *  1. each output element is accumulated over k ascending from +0.0
- *     with no terms skipped (gemmDense mirrors Matrix*Vector, which
- *     has no sparsity skip),
- *  2. C*X and D*DY are two separate reductions combined by a single
- *     final elementwise add (never one fused accumulation), and
- *  3. the state update reads the packed OLD state, exactly like
- *     stepOnce's evaluation of A x(T) before x is overwritten.
- * Columns never mix, so one member's non-finite state cannot
- * contaminate its neighbors, and the per-instance YUKTA_CHECK_FINITE
- * contracts still fire in each runtime's finishInvoke.
+ * Inert remnant of the removed batched tick engine (DESIGN.md §15).
  */
-
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "control/state_space.h"
-#include "controllers/fixed_point.h"
-#include "controllers/lqg_runtime.h"
-#include "controllers/ssv_runtime.h"
-#include "linalg/vector.h"
 
 namespace yukta::controllers {
 
-namespace batch_detail {
-
-/** FNV-1a over raw bytes, chainable via @p seed. */
-std::uint64_t fnv1aBytes(const void* data, std::size_t len,
-                         std::uint64_t seed = 14695981039346656037ULL);
-
-/** Fingerprint of a state-space system's shape and matrix bytes. */
-std::uint64_t stateSpaceKey(const control::StateSpace& k);
-
-/** Fingerprint of a quantized (Q16.16) SSV state machine. */
-std::uint64_t fixedPointKey(std::size_t n, std::size_t m, std::size_t p,
-                            const std::vector<std::int32_t>& a,
-                            const std::vector<std::int32_t>& b,
-                            const std::vector<std::int32_t>& c,
-                            const std::vector<std::int32_t>& d);
-
-}  // namespace batch_detail
-
 /**
- * Holds staged runtimes between their beginInvoke and finishInvoke
- * halves and ticks all members of each shape-class group with one
- * blocked matrix-matrix pass. Grouping is by fingerprint plus a deep
- * byte-compare of the matrices, so a (vanishingly unlikely) hash
- * collision degrades to an extra group, never to a wrong answer.
- *
- * Workspaces are preallocated and reused across ticks; the queue is
- * cleared after every tick().
+ * Does nothing. Kept only for perfbench/traced.cpp, which still
+ * constructs one per shard and passes it to
+ * MultilayerSystem::stepPeriodBegin; a later benchmark change
+ * retires it.
  */
 class BatchRuntime
 {
   public:
-    /**
-     * Stages a runtime whose beginInvoke has run but whose linear
-     * pass has not. @throws std::logic_error otherwise.
-     */
-    void enqueue(SsvRuntime& rt);
-    void enqueue(LqgRuntime& rt);
-
-    /** Stages a fixed-point state machine after beginStep. */
-    void enqueue(FixedPointSsv& fp);
-
-    /**
-     * Advances every staged runtime (grouped by shape-class) and
-     * clears the queue. Each member's linear output lands in its
-     * pending slot, so its finishInvoke consumes the batched result
-     * instead of re-running the scalar pass.
-     */
-    void tick();
-
-    /** Staged runtimes since the last tick(). */
-    std::size_t pendingCount() const;
-
-    /** Shape-class groups currently staged. */
-    std::size_t groupCount() const
-    {
-        return float_groups_.size() + fixed_groups_.size();
-    }
-
-  private:
-    struct FloatMember
-    {
-        linalg::Vector* x;        ///< Member state (read old, write new).
-        const linalg::Vector* dy; ///< Staged input.
-        linalg::Vector* u;        ///< Pending linear output slot.
-        bool* done;               ///< Member's linear_done_ flag.
-    };
-
-    struct FloatGroup
-    {
-        std::uint64_t key = 0;
-        const control::StateSpace* sys = nullptr;
-        std::vector<FloatMember> members;
-    };
-
-    struct FixedMember
-    {
-        std::vector<std::int32_t>* x;
-        const std::vector<std::int32_t>* dy;
-        std::vector<std::int32_t>* u;
-        bool* done;
-    };
-
-    struct FixedGroup
-    {
-        std::uint64_t key = 0;
-        const FixedPointSsv* ref = nullptr;
-        std::vector<FixedMember> members;
-    };
-
-    void enqueueFloat(std::uint64_t key, const control::StateSpace& sys,
-                      FloatMember member);
-    void tickFloatGroup(const FloatGroup& g);
-    void tickFixedGroup(const FixedGroup& g);
-
-    std::vector<FloatGroup> float_groups_;
-    std::vector<FixedGroup> fixed_groups_;
-
-    // Reused SoA workspaces (sized on demand, never shrunk).
-    std::vector<double> xpack_, dypack_, u_cx_, u_ddy_, xn_ax_, xn_bdy_;
-    std::vector<std::int32_t> fxpack_, fdypack_, fu_, fxn_;
-    std::vector<std::int64_t> facc_;
+    /** No-op: every controller ticks inside its own invoke(). */
+    void tick() {}
 };
 
 }  // namespace yukta::controllers

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "controllers/batch_runtime.h"
 #include "core/contracts.h"
 
 namespace yukta::controllers {
@@ -19,18 +18,10 @@ LqgRuntime::LqgRuntime(control::StateSpace k, std::vector<InputGrid> grids,
         throw std::invalid_argument("LqgRuntime: grid size mismatch");
     }
     x_ = Vector::zeros(k_.numStates());
-    batch_key_ = batch_detail::stateSpaceKey(k_);
 }
 
 Vector
 LqgRuntime::invoke(const Vector& deviations, LqgInvokeInfo* info)
-{
-    beginInvoke(deviations);
-    return finishInvoke(info);
-}
-
-void
-LqgRuntime::beginInvoke(const Vector& deviations)
 {
     if (deviations.size() != k_.numInputs()) {
         throw std::invalid_argument("LqgRuntime::invoke: size mismatch");
@@ -43,24 +34,7 @@ LqgRuntime::beginInvoke(const Vector& deviations)
     for (std::size_t i = 0; i < deviations.size(); ++i) {
         y_in[i] = -deviations[i];
     }
-    pending_dy_ = std::move(y_in);
-    has_pending_ = true;
-    linear_done_ = false;
-}
-
-Vector
-LqgRuntime::finishInvoke(LqgInvokeInfo* info)
-{
-    if (!has_pending_) {
-        throw std::logic_error(
-            "LqgRuntime::finishInvoke: no staged invocation");
-    }
-    has_pending_ = false;
-    if (!linear_done_) {
-        pending_u_ = control::stepOnce(k_, x_, pending_dy_);
-        linear_done_ = true;
-    }
-    const Vector& u_raw = pending_u_;
+    const Vector u_raw = control::stepOnce(k_, x_, y_in);
     YUKTA_CHECK_FINITE(x_, "LqgRuntime: controller state poisoned after "
                        "x(T+1) = A x(T) + B dy(T)");
 

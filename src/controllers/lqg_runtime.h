@@ -15,7 +15,6 @@
  */
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "control/state_space.h"
@@ -65,29 +64,6 @@ class LqgRuntime
     linalg::Vector invoke(const linalg::Vector& deviations,
                           LqgInvokeInfo* info = nullptr);
 
-    /**
-     * First half of invoke(): validates and stages the (negated)
-     * deviation input without advancing the observer. Pair with
-     * finishInvoke(); a BatchRuntime may run the linear pass for many
-     * staged runtimes in one cache-blocked sweep in between.
-     */
-    void beginInvoke(const linalg::Vector& deviations);
-
-    /**
-     * Second half of invoke(): advances the observer over the staged
-     * input (unless a BatchRuntime already did) and applies actuator
-     * clamping and the wasted-move monitor. Bit-identical to the
-     * monolithic invoke() either way.
-     * @throws std::logic_error without a prior beginInvoke().
-     */
-    linalg::Vector finishInvoke(LqgInvokeInfo* info = nullptr);
-
-    /**
-     * Fingerprint of the controller matrices: runtimes with equal
-     * keys may tick through one batched matrix-matrix pass.
-     */
-    std::uint64_t batchKey() const { return batch_key_; }
-
     /** Resets the controller state and the move counters. */
     void reset();
 
@@ -114,21 +90,12 @@ class LqgRuntime
     }
 
   private:
-    friend class BatchRuntime;
-
     control::StateSpace k_;
     std::vector<InputGrid> grids_;
     linalg::Vector u_mean_;
     linalg::Vector x_;
     int wasted_moves_ = 0;
     int total_moves_ = 0;
-    std::uint64_t batch_key_ = 0;
-
-    // Staged invocation (beginInvoke -> [batch] -> finishInvoke).
-    linalg::Vector pending_dy_;  ///< Negated deviations.
-    linalg::Vector pending_u_;   ///< Linear output once ticked.
-    bool has_pending_ = false;
-    bool linear_done_ = false;
 };
 
 }  // namespace yukta::controllers

@@ -179,15 +179,11 @@ MultilayerSystem::installHwRuntime(SsvRuntime runtime)
 void
 MultilayerSystem::stepPeriodBegin(BatchRuntime* batch)
 {
-    YUKTA_PROFILE_SCOPE("multilayer_tick");
+    (void)batch;
     const double t = t_;
     const int period = periods_;
     pending_ = PendingTick{};
     pending_.in_progress = true;
-    // Trace events interleave differently when the layer invocations
-    // split (optimizer events land before both layer events instead
-    // of between them), so batching is only taken without a sink.
-    const bool may_defer = batch != nullptr && sink_ == nullptr;
     if (sink_ != nullptr) {
         sink_->beginTick(period, t);
     }
@@ -235,22 +231,11 @@ MultilayerSystem::stepPeriodBegin(BatchRuntime* batch)
             hw_in = h;
             policy = p;
         } else {
-            // Both layers observe start-of-period state only, so
-            // deferring their linear passes to the shared batch
-            // cannot change what either one sees.
             if (hw_) {
-                if (may_defer && hw_->beginInvoke(hw_sig, *batch)) {
-                    pending_.hw_deferred = true;
-                } else {
-                    hw_in = hw_->invoke(hw_sig);
-                }
+                hw_in = hw_->invoke(hw_sig);
             }
             if (os_) {
-                if (may_defer && os_->beginInvoke(os_sig, *batch)) {
-                    pending_.os_deferred = true;
-                } else {
-                    policy = os_->invoke(os_sig);
-                }
+                policy = os_->invoke(os_sig);
             }
         }
         break;
@@ -276,7 +261,6 @@ MultilayerSystem::stepPeriodBegin(BatchRuntime* batch)
 void
 MultilayerSystem::stepPeriodFinish()
 {
-    YUKTA_PROFILE_SCOPE("multilayer_tick");
     if (!pending_.in_progress) {
         throw std::logic_error(
             "MultilayerSystem::stepPeriodFinish: no pending period");
@@ -286,12 +270,6 @@ MultilayerSystem::stepPeriodFinish()
     if (!pending_.dropped) {
         HardwareInputs hw_in = pending_.hw_in;
         PlacementPolicy policy = pending_.policy;
-        if (pending_.hw_deferred) {
-            hw_in = hw_->finishInvoke();
-        }
-        if (pending_.os_deferred) {
-            policy = os_->finishInvoke();
-        }
         const SupervisorMode mode = pending_.mode;
 
         if (supervisor_) {
@@ -349,7 +327,8 @@ MultilayerSystem::stepPeriodFinish()
 void
 MultilayerSystem::stepPeriod()
 {
-    stepPeriodBegin(nullptr);
+    YUKTA_PROFILE_SCOPE("multilayer_tick");
+    stepPeriodBegin();
     stepPeriodFinish();
 }
 

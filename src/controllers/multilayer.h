@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "controllers/batch_runtime.h"
 #include "controllers/controller.h"
 #include "controllers/layer_controllers.h"
 #include "controllers/supervisor.h"
@@ -98,19 +99,19 @@ class MultilayerSystem
     void stepPeriod();
 
     /**
-     * First half of stepPeriod(): observation, supervision, and the
-     * controllers' front halves. When @p batch is non-null (and no
-     * trace sink is attached -- event interleaving must not change),
-     * linear-core controllers stage their state-machine pass into it
-     * instead of running it; the caller ticks the batch and then
-     * calls stepPeriodFinish(). Begin(nullptr) + Finish() is
-     * bit-identical to stepPeriod().
+     * First half of stepPeriod(): observation, supervision, and both
+     * layer controllers' invocations. stepPeriodBegin() +
+     * stepPeriodFinish() is stepPeriod() minus its profile scope; the
+     * split lets a caller time the controllers apart from the plant.
+     *
+     * @p batch is ignored: the parameter is kept only for
+     * perfbench/traced.cpp, and a later benchmark change retires it.
      */
-    void stepPeriodBegin(BatchRuntime* batch);
+    void stepPeriodBegin(BatchRuntime* batch = nullptr);
 
     /**
-     * Second half of stepPeriod(): controllers' back halves,
-     * actuation, and the plant step.
+     * Second half of stepPeriod(): supervisor guards, actuation, and
+     * the plant step.
      * @throws std::logic_error without a prior stepPeriodBegin().
      */
     void stepPeriodFinish();
@@ -212,8 +213,6 @@ class MultilayerSystem
         bool in_progress = false;
         bool dropped = false;      ///< Injector timing fault this tick.
         SupervisorMode mode = SupervisorMode::kNominal;
-        bool hw_deferred = false;  ///< hw_ staged into the batch.
-        bool os_deferred = false;  ///< os_ staged into the batch.
         platform::HardwareInputs hw_in;
         platform::PlacementPolicy policy;
         double instr_big = 0.0;    ///< Observation-space marks.

@@ -16,7 +16,6 @@
  */
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "linalg/vector.h"
@@ -24,8 +23,6 @@
 #include "robust/ssv_design.h"
 
 namespace yukta::controllers {
-
-class BatchRuntime;
 
 /**
  * Optional per-invocation introspection record (filled on request so
@@ -94,37 +91,11 @@ class SsvRuntime
                           const linalg::Vector& external,
                           SsvInvokeInfo* info = nullptr);
 
-    /**
-     * First half of invoke(): validates the inputs and stages the
-     * clamped/centered dy for the linear state machine, without
-     * advancing it. Pair with finishInvoke(); a BatchRuntime may
-     * execute the linear pass for many staged runtimes in one
-     * cache-blocked sweep between the two calls.
-     */
-    void beginInvoke(const linalg::Vector& deviations,
-                     const linalg::Vector& external);
-
-    /**
-     * Second half of invoke(): advances the linear state machine over
-     * the staged dy (unless a BatchRuntime already did) and applies
-     * the input grids and the guardband monitor. Bit-identical to the
-     * monolithic invoke() either way.
-     * @throws std::logic_error without a prior beginInvoke().
-     */
-    linalg::Vector finishInvoke(SsvInvokeInfo* info = nullptr);
-
-    /**
-     * Fingerprint of the controller matrices and shape: runtimes with
-     * equal keys share bit-identical (A, B, C, D) and may tick
-     * through one batched matrix-matrix pass.
-     */
-    std::uint64_t batchKey() const { return batch_key_; }
-
     /** Resets the controller state and the guardband monitor. */
     void reset();
 
     /**
-     * Arms bumpless transfer: at the next beginInvoke() the state x is
+     * Arms bumpless transfer: at the next invoke() the state x is
      * solved (minimum-norm, regularized) from
      *
      *   C x + D dy = u_prev - u_mean
@@ -172,8 +143,6 @@ class SsvRuntime
     }
 
   private:
-    friend class BatchRuntime;
-
     robust::SsvController ctrl_;
     std::vector<InputGrid> grids_;
     linalg::Vector u_mean_;
@@ -182,16 +151,8 @@ class SsvRuntime
     std::size_t num_outputs_ = 0;
     int over_bound_count_ = 0;
     bool exhausted_ = false;
-    std::uint64_t batch_key_ = 0;
     bool bumpless_armed_ = false;
     linalg::Vector bumpless_u_;  ///< Physical u to match at hand-over.
-
-    // Staged invocation (beginInvoke -> [batch] -> finishInvoke).
-    linalg::Vector pending_dy_;   ///< Clamped/centered dy.
-    linalg::Vector pending_dev_;  ///< Raw deviations (guardband).
-    linalg::Vector pending_u_;    ///< Linear output once ticked.
-    bool has_pending_ = false;
-    bool linear_done_ = false;
 
     static constexpr int kExhaustionWindow = 8;  ///< Invocations.
 

@@ -124,12 +124,9 @@ struct FleetConfig
     bool fault_aware = true;
 
     /**
-     * True: each shard ticks its boards' controller state machines
-     * through one batched matrix-matrix pass per epoch (BatchRuntime)
-     * instead of per-board matrix-vector passes. Bit-identical to the
-     * scalar path, so this is an execution knob, not part of the
-     * run's identity (excluded from canonical(); checkpoints
-     * interoperate across modes).
+     * Unused: nothing in src/ reads it. Kept only for
+     * perfbench/traced.cpp, which refuses to run when it is false; a
+     * later benchmark change retires it. Not part of canonical().
      */
     bool batch_tick = true;
 
@@ -140,9 +137,9 @@ struct FleetConfig
      * model, drift-triggered re-synthesis on the shard pool, and
      * bumpless hot-swap of the refreshed controller. On the plant the
      * model was identified for, the CUSUM never fires and the run is
-     * bit-identical to adapt=false, so -- like batch_tick -- this is
-     * excluded from canonical(); checkpoints record per-board adapter
-     * presence and restore refuses a mismatch.
+     * bit-identical to adapt=false, so this is excluded from
+     * canonical(); checkpoints record per-board adapter presence and
+     * restore refuses a mismatch.
      */
     bool adapt = false;
 
@@ -413,16 +410,13 @@ class FleetSim
     /** Per-board admission capacity scale at @p t0 (aware mode). */
     std::vector<double> capacityScale(double t0) const;
 
-    /** Steps one board one control period and drains its queue. */
+    /**
+     * Steps one board one control period, then does its EMA/rollup
+     * bookkeeping and drains its queue at the rate of work actually
+     * retired this period.
+     */
     void stepBoard(FleetBoard& fb, double epoch_end,
                    double drain_scale) const;
-
-    /**
-     * Post-tick half of stepBoard: EMA/rollup bookkeeping and queue
-     * drain at the rate of work actually retired this period.
-     */
-    void drainBoard(FleetBoard& fb, double epoch_end,
-                    double drain_scale) const;
 };
 
 }  // namespace yukta::fleet

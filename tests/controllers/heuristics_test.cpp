@@ -3,6 +3,7 @@
 
 #include "controllers/heuristics.h"
 #include "controllers/multilayer.h"
+#include "obs/metrics.h"
 #include "platform/apps.h"
 
 namespace yukta::controllers {
@@ -209,6 +210,38 @@ TEST(Multilayer, TraceCollectedWhenEnabled)
     RunMetrics m = sys.run(10.0);
     EXPECT_GE(m.trace.size(), 8u);
 }
+
+#ifdef YUKTA_TRACE
+// A profiled build records one "multilayer_tick" sample per control
+// period: the scope wraps the whole of stepPeriod(), not each half of
+// the stepPeriodBegin/stepPeriodFinish split.
+TEST(Multilayer, ProfileRecordsOneTickSamplePerPeriod)
+{
+    platform::AppModel app;
+    app.name = "endless";
+    app.ipc_big = 1.0;
+    app.ipc_little = 0.4;
+    platform::AppPhase ph;
+    ph.num_threads = 4;
+    ph.work_per_thread = 1e6;
+    app.phases = {ph};
+
+    DvfsTable big(cfg.big);
+    DvfsTable little(cfg.little);
+    MultilayerSystem sys(
+        platform::Board(cfg, platform::Workload(app), 5),
+        std::make_unique<CoordinatedHwHeuristic>(cfg, big, little),
+        std::make_unique<CoordinatedOsHeuristic>(cfg));
+    const obs::Histogram& ticks =
+        obs::globalMetrics().histogram("profile.multilayer_tick");
+    const long long before = ticks.count();
+    constexpr int kPeriods = 12;
+    for (int i = 0; i < kPeriods; ++i) {
+        sys.stepPeriod();
+    }
+    EXPECT_EQ(ticks.count() - before, kPeriods);
+}
+#endif  // YUKTA_TRACE
 
 }  // namespace
 }  // namespace yukta::controllers

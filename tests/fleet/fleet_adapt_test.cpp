@@ -2,9 +2,8 @@
 // re-synthesis and bumpless hot-swap run end to end inside FleetSim,
 // the armed loop is invisible on the shipped plant (bit-identical
 // digests), checkpoints carry the adapter (RLS, CUSUM, swapped
-// controller text) across the swap, restore refuses an
-// adaptation-armed mismatch, and the batched tick engine re-stages a
-// swapped member bit-identically to the scalar path.
+// controller text) across the swap, and restore refuses an
+// adaptation-armed mismatch.
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -23,16 +22,16 @@ using yukta::fleet::FleetMetrics;
 using yukta::fleet::FleetSim;
 
 /**
- * Small adaptive fleet with a compressed adaptation timeline: armed
+ * One-board adaptive fleet with a compressed adaptation timeline: armed
  * at 15 s (warmup + calibration), optional permanent 2.2x power
  * drift at 20 s, settle/swap within ~15 s of detection. 120 s total
  * leaves a long post-swap tail.
  */
 FleetConfig
-adaptConfig(bool adapt, bool drift, int boards = 1)
+adaptConfig(bool adapt, bool drift)
 {
     FleetConfig cfg;
-    cfg.boards = boards;
+    cfg.boards = 1;
     cfg.sim_seconds = 120.0;
     cfg.seed = 5;
     cfg.adapt = adapt;
@@ -185,32 +184,6 @@ TEST(FleetAdapt, RestoreRefusesAdaptationMismatch)
             std::runtime_error);
     }
     std::filesystem::remove_all(dir2);
-}
-
-// The batched tick engine must re-stage the swapped member and keep
-// every board bit-identical to the scalar path -- a swap on board 0
-// must not perturb the other members of the shard.
-TEST(FleetAdapt, BatchedTickReStagesSwappedMemberBitIdentically)
-{
-    const auto artifacts = yukta::fleet::fleetArtifacts();
-    FleetConfig batched = adaptConfig(true, true, 4);
-    batched.shards = 1;  // All four boards share one batched shard.
-    FleetConfig scalar = batched;
-    scalar.batch_tick = false;
-
-    FleetMetrics mb;
-    FleetMetrics ms;
-    {
-        FleetSim sim(batched, artifacts);
-        mb = sim.run(2);
-    }
-    {
-        FleetSim sim(scalar, artifacts);
-        ms = sim.run(2);
-    }
-    ASSERT_GE(mb.adapt.swaps, 1) << "the swap must actually happen";
-    EXPECT_EQ(mb.digest(), ms.digest());
-    EXPECT_EQ(mb.adapt.swaps, ms.adapt.swaps);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Fleet simulator invariants: deterministic arrivals, the admission
-// capacity bound, cluster target shaping, and the two end-to-end
+// capacity bound, cluster target shaping, the split board period the
+// benchmark's replica steps through, and the two end-to-end
 // properties the subsystem exists for -- bit-identical results for
 // any worker count, and admission strictly reducing SLO-violation
 // time under overload.
@@ -8,11 +9,17 @@
 #include <random>
 #include <vector>
 
+#include "controllers/batch_runtime.h"
+#include "controllers/multilayer.h"
+#include "core/schemes.h"
+#include "fault/plan.h"
 #include "fleet/admission.h"
 #include "fleet/arrivals.h"
 #include "fleet/artifacts.h"
 #include "fleet/cluster.h"
 #include "fleet/fleet.h"
+#include "obs/stateio.h"
+#include "platform/apps.h"
 #include "platform/board.h"
 
 namespace {
@@ -234,6 +241,41 @@ TEST(Fleet, RunIsBitIdenticalForAnyWorkerCount)
     }
     EXPECT_EQ(digest1, digest2);
     EXPECT_EQ(digest1, digest4);
+}
+
+// The benchmark's traced fleet replica steps each board as
+// stepPeriodBegin(&batch); batch.tick(); stepPeriodFinish(), and its
+// replica-digest check rests on that being exactly stepPeriod() --
+// through the supervisor and a window of dropped control ticks.
+TEST(Fleet, SplitPeriodIsBitIdenticalToStepPeriod)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    const yukta::platform::AppModel app =
+        yukta::platform::AppCatalog::makeServiceApp(8, 1.5, 0.25);
+    const auto makeBoard = [&] {
+        yukta::controllers::MultilayerSystem sys = yukta::core::makeSystem(
+            yukta::core::Scheme::kYuktaFull, artifacts,
+            yukta::platform::Workload(app), 7);
+        sys.enableSupervisor();
+        sys.attachFaultInjector(
+            yukta::fault::FaultPlan::parse("tick:miss@5+3"));
+        return sys;
+    };
+    yukta::controllers::MultilayerSystem whole = makeBoard();
+    yukta::controllers::MultilayerSystem split = makeBoard();
+    yukta::controllers::BatchRuntime batch;
+    for (int p = 0; p < 40; ++p) {
+        whole.stepPeriod();
+        split.stepPeriodBegin(&batch);
+        batch.tick();
+        split.stepPeriodFinish();
+    }
+    ASSERT_GT(whole.metrics().faults.dropped_ticks, 0u);
+    yukta::obs::StateWriter a;
+    yukta::obs::StateWriter b;
+    whole.save(a);
+    split.save(b);
+    EXPECT_EQ(a.dump(), b.dump());
 }
 
 TEST(Fleet, AdmissionStrictlyReducesSloViolationUnderOverload)

@@ -44,7 +44,8 @@ Analyses:
 
   fp-reproducibility  per-TU compile flags are audited for
                     -ffast-math / -Ofast / -ffp-contract=fast /
-                    -march=native drift (fp-flags, fp-drift), and the
+                    -march=native drift and for a missing required
+                    -ffp-contract=off (fp-flags, fp-drift), and the
                     sources for std::reduce / parallel execution
                     policies (fp-reduce) and float narrowing inside
                     the double pipeline (float-acc).
@@ -183,6 +184,8 @@ class LayerConfig:
             for name, spec in rules.items() if "scope" in spec}
         self.banned_flags = tuple(
             rules.get("fp-flags", {}).get("banned", []))
+        self.required_flags = tuple(
+            rules.get("fp-flags", {}).get("required", []))
         self._check_acyclic()
         self._below = self._transitive_below()
 
@@ -502,8 +505,19 @@ def check_determinism(ctx, cfg, findings):
                     RULE_HELP["static-state"]))
 
 
+def effective_flag(args, flag):
+    """@return whether @p flag is in force for a TU built with @p args:
+    for an -opt=value flag, the last -opt= on the line must be it."""
+    if "=" not in flag:
+        return flag in args
+    opt = flag.split("=", 1)[0] + "="
+    last = [a for a in args if a.startswith(opt)]
+    return bool(last) and last[-1] == flag
+
+
 def check_fp_flags(entries, repo, cfg, findings):
-    """Per-TU flag audit + cross-TU FP flag drift."""
+    """Per-TU flag audit (banned and required flags) + cross-TU FP
+    flag drift."""
     fp_prefixes = ("-ffast-math", "-fno-fast-math", "-Ofast",
                    "-ffp-contract", "-funsafe-math-optimizations",
                    "-march", "-mfpmath", "-mtune", "-frounding-math")
@@ -524,6 +538,13 @@ def check_fp_flags(entries, repo, cfg, findings):
                     f"TU compiled with '{flag}': value-changing FP "
                     f"optimization breaks cross-host bit-"
                     f"reproducibility; remove it from the build"))
+        for flag in cfg.required_flags:
+            if not effective_flag(args, flag):
+                findings.append(Finding(
+                    rel, 1, "fp-flags",
+                    f"TU compiled without '{flag}': FP results then "
+                    f"depend on the target ISA (e.g. FMA contraction); "
+                    f"add it to the build"))
     if tu_flags:
         variants = {}
         for rel, fp in tu_flags.items():
@@ -768,13 +789,18 @@ def run_self_test(repo):
          "command": "c++ -O2 -ffast-math -c src/top/top.cpp"},
         {"directory": tree,
          "file": os.path.join(tree, "src/top/skip.cpp"),
-         "command": "c++ -O2 -march=native -c src/top/skip.cpp"},
+         "command": "c++ -O2 -ffp-contract=off -march=native "
+                    "-c src/top/skip.cpp"},
         {"directory": tree,
          "file": os.path.join(tree, "src/mid/mid.cpp"),
-         "command": "c++ -O2 -c src/mid/mid.cpp"},
+         "command": "c++ -O2 -ffp-contract=off -c src/mid/mid.cpp"},
         {"directory": tree,
          "file": os.path.join(tree, "src/low/low.cpp"),
-         "command": "c++ -O2 -c src/low/low.cpp"},
+         "command": "c++ -O2 -ffp-contract=off -c src/low/low.cpp"},
+        {"directory": tree,
+         "file": os.path.join(tree, "src/low/bad_backedge.cpp"),
+         "command": "c++ -O2 -ffp-contract=off -ffp-contract=on "
+                    "-c src/low/bad_backedge.cpp"},
     ]
     fp_found = []
     check_fp_flags(fp_entries, tree, cfg, fp_found)
@@ -786,6 +812,15 @@ def run_self_test(repo):
                for f in fp_found))
     expect("FP flag drift across TUs caught (fp-drift)",
            any(f.rule == "fp-drift" for f in fp_found))
+    missing = {f.path for f in fp_found
+               if f.rule == "fp-flags" and "without" in f.message}
+    expect("TU without required -ffp-contract=off caught (fp-flags)",
+           "src/top/top.cpp" in missing)
+    expect("TU overriding -ffp-contract=off later caught (fp-flags)",
+           "src/low/bad_backedge.cpp" in missing)
+    expect("TUs with -ffp-contract=off pass the required check",
+           not missing & {"src/top/skip.cpp", "src/mid/mid.cpp",
+                          "src/low/low.cpp"})
 
     # ---- stale suppressions ----------------------------------------
     src_root = os.path.join(fixdir, "src")  # no src headers: ok

@@ -6,11 +6,10 @@ suite must have run first), asks gcov for JSON intermediate records,
 merges them per source file (a line counts as covered when any
 translation unit executed it), and enforces a floor on the aggregate
 line coverage of the audited directories -- by default the controller
-and fault-injection layers (including the batched tick engine), where
-an untested branch means an unverified degradation path, the linalg
-GEMM kernel the batch engine's bit-identity rests on, and the system
-identification layer (RLS + drift detection) the online adaptation
-loop's no-false-swap guarantee rests on.
+and fault-injection layers, where an untested branch means an
+unverified degradation path, and the system identification layer
+(RLS + drift detection) the online adaptation loop's no-false-swap
+guarantee rests on.
 
 Usage:
   tools/coverage_check.py --build-dir build-cov [--floor 70]
@@ -26,8 +25,7 @@ import os
 import subprocess
 import sys
 
-DEFAULT_PREFIXES = ("src/controllers", "src/fault", "src/linalg/gemm.cpp",
-                    "src/sysid")
+DEFAULT_PREFIXES = ("src/controllers", "src/fault", "src/sysid")
 
 
 def find_gcda(build_dir):
