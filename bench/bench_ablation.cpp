@@ -99,7 +99,6 @@ main()
     std::printf("\n=== Ablation 2: D-K iteration depth (HW layer) ===\n");
     for (int rounds : {1, 3}) {
         core::ArtifactOptions options;
-        options.cache_tag = "ablation_dk" + std::to_string(rounds);
         options.dk.max_iterations = rounds;
         auto art = core::buildArtifacts(cfg, options);
         std::printf("D-K rounds %d: mu_peak %.3f, gamma %.3f, used %d "

@@ -45,7 +45,7 @@ sweepWorkers()
 }
 
 /** Engine options shared by the figure benches: parallel workers,
- *  shared run cache, progress on stderr. */
+ *  progress on stderr. */
 inline runner::RunnerOptions
 benchRunnerOptions()
 {
@@ -80,10 +80,7 @@ runBenchSweep(const core::Artifacts& artifacts,
 inline core::Artifacts
 defaultArtifacts()
 {
-    core::ArtifactOptions options;
-    options.cache_tag = "paper";
-    return core::buildArtifacts(platform::BoardConfig::odroidXu3(),
-                                options);
+    return core::buildArtifacts(platform::BoardConfig::odroidXu3());
 }
 
 /** Runs one scheme on one workload and returns the metrics. */

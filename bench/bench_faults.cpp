@@ -71,15 +71,12 @@ main(int argc, char** argv)
     }
 
     core::Artifacts artifacts;
-    std::string artifact_tag;
     if (quick) {
         // Heuristic schemes need only the board config; skipping the
         // controller synthesis keeps the CI smoke run in seconds.
         artifacts.cfg = platform::BoardConfig::odroidXu3();
-        artifact_tag = "bare";
     } else {
         artifacts = bench::defaultArtifacts();
-        artifact_tag = "paper";
     }
     const double max_seconds = quick ? 60.0 : 300.0;
 
@@ -97,9 +94,8 @@ main(int argc, char** argv)
         }
     }
 
-    runner::RunnerOptions options = bench::benchRunnerOptions();
-    options.use_cache = !quick;
-    auto result = runner::runAll(artifacts, runs, artifact_tag, options);
+    auto result =
+        runner::runAll(artifacts, runs, bench::benchRunnerOptions());
     for (const auto& r : result.records) {
         if (r.status != runner::TaskOutcome::Status::kOk) {
             std::fprintf(stderr, "run %zu (%s) failed: %s\n", r.index,

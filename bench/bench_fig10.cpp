@@ -24,9 +24,9 @@ main()
         core::Scheme::kYuktaFull,
     };
 
-    // Traced runs through the sweep engine (traces bypass the result
-    // cache); the per-scheme sections print in Fig. 10 order from the
-    // index-ordered records, independent of worker count.
+    // Traced runs through the sweep engine; the per-scheme sections
+    // print in Fig. 10 order from the index-ordered records,
+    // independent of worker count.
     runner::SweepSpec sweep;
     sweep.schemes = schemes;
     sweep.workloads = {"blackscholes"};

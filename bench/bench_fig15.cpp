@@ -26,7 +26,6 @@ core::Artifacts
 artifactsForBounds(double perf_bound, double os_bound)
 {
     core::ArtifactOptions options;
-    options.cache_tag = "paper";
     options.hw_perf_bound = perf_bound;
     options.os_bound = os_bound;
     return core::buildArtifacts(platform::BoardConfig::odroidXu3(),

@@ -22,7 +22,6 @@ core::Artifacts
 artifactsForGuardband(double gb)
 {
     core::ArtifactOptions options;
-    options.cache_tag = "paper";
     options.hw_guardband = gb;
     return core::buildArtifacts(platform::BoardConfig::odroidXu3(),
                                 options);

@@ -25,7 +25,6 @@ main()
 
     for (double w : weights) {
         core::ArtifactOptions options;
-        options.cache_tag = "paper";
         options.hw_input_weight = w;
         auto artifacts = core::buildArtifacts(cfg, options);
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point:
-#   1. static analysis: yukta-lint (always) + clang-tidy / cppcheck
-#      when the tools exist on the runner,
+#   1. static analysis: no tracked yukta_cache/ entry, yukta-lint
+#      (always) + clang-tidy / cppcheck when the tools exist on the
+#      runner,
 #   2. tier-1 build + full ctest, the bench smokes, and the
 #      repository benchmark's traced fleet-churn run (perfbench/),
 #   3. contracts build (-DYUKTA_CHECKS=ON -DYUKTA_WERROR=ON) + full
@@ -11,13 +12,24 @@
 #      whole suite under ASan/UBSan with YUKTA_CI_ASAN=1),
 #   5. optionally (YUKTA_CI_COVERAGE=1, the GitHub coverage job sets
 #      it), a -DYUKTA_COVERAGE=ON build + ctest and the gcov
-#      line-coverage floor on src/controllers + src/fault.
+#      line-coverage floor on src/controllers, fault, sysid, core and
+#      runner.
 #
 # Usage: ci/run_ci.sh [jobs]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
+
+echo "=== design cache stays untracked ==="
+# Entries are named by their synthesis inputs and rebuilt on demand; a
+# committed entry could only hide a synthesizer change.
+TRACKED_CACHE="$(git ls-files yukta_cache)"
+if [[ -n "$TRACKED_CACHE" ]]; then
+    echo "yukta_cache/ must not be tracked:"
+    echo "$TRACKED_CACHE"
+    exit 1
+fi
 
 echo "=== static analysis: yukta-lint ==="
 python3 tools/lint/yukta_lint.py --self-test

@@ -22,9 +22,7 @@ main()
     auto cfg = platform::BoardConfig::odroidXu3();
 
     std::printf("Running the Yukta design flow (cached after first run)...\n");
-    core::ArtifactOptions options;
-    options.cache_tag = "example";
-    auto artifacts = core::buildArtifacts(cfg, options);
+    auto artifacts = core::buildArtifacts(cfg);
 
     std::printf("\nHW layer: mu=%.2f gamma=%.2f order=%zu\n",
                 artifacts.hw_ssv.controller.mu_peak,

@@ -20,9 +20,7 @@ int
 main()
 {
     auto cfg = platform::BoardConfig::odroidXu3();
-    core::ArtifactOptions options;
-    options.cache_tag = "example";
-    auto artifacts = core::buildArtifacts(cfg, options);
+    auto artifacts = core::buildArtifacts(cfg);
 
     auto hw = std::make_unique<controllers::SsvHwController>(
         core::makeSsvRuntime(artifacts.hw_ssv),

@@ -75,9 +75,7 @@ main(int argc, char** argv)
     core::Scheme scheme = parseScheme(scheme_name);
     auto cfg = platform::BoardConfig::odroidXu3();
 
-    core::ArtifactOptions options;
-    options.cache_tag = "paper";
-    auto artifacts = core::buildArtifacts(cfg, options);
+    auto artifacts = core::buildArtifacts(cfg);
 
     auto system =
         core::makeSystem(scheme, artifacts, parseWorkload(app), seed);

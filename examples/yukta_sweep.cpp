@@ -2,14 +2,14 @@
  * @file
  * yukta-sweep: parallel experiment-sweep driver. Expands a
  * declarative (scheme x workload x seed) sweep, fans the runs out
- * across a worker pool with a shared on-disk result cache, and prints
- * an aggregated table from the structured run records.
+ * across a worker pool, and prints an aggregated table from the
+ * structured run records.
  *
  * Examples:
  *   yukta-sweep --list
  *   yukta-sweep --schemes=coordinated,yukta-full \
  *               --workloads=blackscholes,gamess --seeds=1,2 --workers=4
- *   yukta-sweep --jsonl=sweep.jsonl --no-cache
+ *   yukta-sweep --jsonl=sweep.jsonl
  */
 
 #include <algorithm>
@@ -43,10 +43,9 @@ usage()
         "  --workers=N          pool size (default: hardware threads)\n"
         "  --max-seconds=S      simulated-time budget per run\n"
         "  --trace-interval=S   record traces every S simulated\n"
-        "                       seconds (disables the result cache)\n"
+        "                       seconds\n"
         "  --trace=DIR          write one structured per-tick event\n"
-        "                       trace per run into DIR (disables the\n"
-        "                       result cache)\n"
+        "                       trace per run into DIR\n"
         "  --trace-format=F     jsonl (default), chrome, or both\n"
         "  --metrics            print the metrics-registry snapshot\n"
         "                       (JSON) after the sweep\n"
@@ -57,10 +56,9 @@ usage()
         "  --attempts=N         retry failed runs up to N attempts\n"
         "  --retry-backoff=S    linear backoff between attempts\n"
         "  --jsonl=FILE         append one JSON record per run\n"
-        "  --no-cache           ignore and do not fill the run cache\n"
         "  --quiet              no per-run progress lines\n"
         "  --list               list scheme ids and workloads, exit\n"
-        "The cache directory honors YUKTA_CACHE_DIR.\n");
+        "The design-cache directory honors YUKTA_CACHE_DIR.\n");
 }
 
 std::vector<std::string>
@@ -127,8 +125,6 @@ main(int argc, char** argv)
         } else if (arg == "--list") {
             listCatalog();
             return 0;
-        } else if (arg == "--no-cache") {
-            options.use_cache = false;
         } else if (arg == "--quiet") {
             options.progress = nullptr;
         } else if (const char* schemes_arg = value("--schemes=")) {
@@ -225,10 +221,8 @@ main(int argc, char** argv)
         options.jsonl = &jsonl;
     }
 
-    core::ArtifactOptions art_opts;
-    art_opts.cache_tag = "paper";
     auto artifacts =
-        core::buildArtifacts(platform::BoardConfig::odroidXu3(), art_opts);
+        core::buildArtifacts(platform::BoardConfig::odroidXu3());
 
     const auto runs = runner::expandSweep(spec);
     std::fprintf(stderr, "sweep: %zu runs on %zu worker(s)\n", runs.size(),
@@ -263,17 +257,15 @@ main(int argc, char** argv)
         result.countStatus(runner::TaskOutcome::Status::kError);
     const std::size_t timeouts =
         result.countStatus(runner::TaskOutcome::Status::kTimeout);
-    std::size_t hits = 0;
     double wall = 0.0;
     for (const auto& r : result.records) {
-        hits += r.cache_hit ? 1 : 0;
         wall += r.wall_seconds;
     }
     std::printf("\n%zu runs: %zu ok, %zu error, %zu timeout; "
-                "%zu cache hit(s); %.1f run-seconds total\n",
+                "%.1f run-seconds total\n",
                 result.records.size(),
                 result.records.size() - errors - timeouts, errors,
-                timeouts, hits, wall);
+                timeouts, wall);
     for (const auto& r : result.records) {
         if (r.status == runner::TaskOutcome::Status::kError) {
             std::printf("  error: %s/%s/%u: %s\n",

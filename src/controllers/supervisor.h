@@ -96,7 +96,7 @@ struct SupervisorEvent
 struct SupervisorReport
 {
     std::vector<SupervisorEvent> events;
-    long transition_count = 0;   ///< Persists even when events do not.
+    long transition_count = 0;   ///< What run records report.
     long invalid_ticks = 0;      ///< Ticks with >= 1 invalid field.
     long repaired_fields = 0;    ///< Fields replaced by last-good.
     long repaired_commands = 0;  ///< Non-finite commands sanitized.
@@ -106,7 +106,7 @@ struct SupervisorReport
     double time_fallback = 0.0;
     double time_safe = 0.0;
 
-    /** @return total transition count (cache-safe, unlike events). */
+    /** @return total transition count (run records omit events). */
     long transitions() const { return transition_count; }
 
     /** @return seconds spent anywhere below kNominal. */

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/cache.h"
-#include "robust/ssv_design.h"
 
 namespace yukta::core {
 
@@ -15,78 +12,6 @@ using linalg::Matrix;
 using linalg::Vector;
 
 namespace {
-
-/** FNV-1a 64-bit over a byte string. */
-std::uint64_t
-fnv1a(const std::string& s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-void
-hashMatrix(std::ostream& os, const Matrix& m)
-{
-    os << m.rows() << "," << m.cols() << ";";
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        for (std::size_t c = 0; c < m.cols(); ++c) {
-            os << m(r, c) << ",";
-        }
-    }
-}
-
-void
-hashVector(std::ostream& os, const Vector& v)
-{
-    os << v.size() << ";";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        os << v[i] << ",";
-    }
-}
-
-/** The SsvSpec recipe of designSsvLayer, from an explicit model. */
-robust::SsvSpec
-specFromLayer(const LayerSpec& spec, const sysid::ArxModel& model,
-              std::size_t num_external, const robust::DkOptions& dk)
-{
-    robust::SsvSpec ssv;
-    ssv.model = model.toStateSpace();
-    ssv.num_inputs = spec.inputs.size();
-    ssv.num_external = num_external;
-    for (const SignalSpec& in : spec.inputs) {
-        ssv.in_min.push_back(in.min);
-        ssv.in_max.push_back(in.max);
-        ssv.in_step.push_back(in.step);
-        ssv.in_weight.push_back(in.weight);
-    }
-    ssv.perf_dc_boost = spec.perf_boost;
-    for (const OutputSpec& out : spec.outputs) {
-        ssv.out_bound.push_back(out.bound());
-        ssv.out_range.push_back(out.range);
-        ssv.out_boost.push_back(out.critical ? 1.0 : ssv.perf_dc_boost);
-    }
-    ssv.guardband = spec.guardband;
-    ssv.max_order = spec.max_order;
-    ssv.perf_corner = 1.2;
-    ssv.unc_corner = 3.0;
-    ssv.dk = dk;
-    return ssv;
-}
-
-std::vector<controllers::InputGrid>
-gridsFromSpecs(const std::vector<SignalSpec>& inputs)
-{
-    std::vector<controllers::InputGrid> grids;
-    grids.reserve(inputs.size());
-    for (const SignalSpec& in : inputs) {
-        grids.push_back({in.min, in.max, in.step});
-    }
-    return grids;
-}
 
 /** Per-channel standard deviation over @p samples (identifyArx's
     normalization rule: dead channels keep unit scale). */
@@ -183,68 +108,6 @@ loadArx(obs::StateReader& r, const std::string& prefix)
 
 }  // namespace
 
-std::string
-adaptCacheKey(const LayerSpec& spec, const sysid::ArxModel& model,
-              std::size_t num_external, const robust::DkOptions& dk)
-{
-    std::ostringstream os;
-    os << std::setprecision(17);
-    os << "adapt1|" << spec.layer_name << "|" << num_external << "|";
-    for (const SignalSpec& in : spec.inputs) {
-        os << in.name << "," << in.min << "," << in.max << "," << in.step
-           << "," << in.weight << ";";
-    }
-    os << "|";
-    for (const OutputSpec& out : spec.outputs) {
-        os << out.name << "," << out.bound_fraction << "," << out.range
-           << "," << out.critical << ";";
-    }
-    os << "|" << spec.guardband << "," << spec.max_order << ","
-       << spec.perf_boost;
-    os << "|" << dk.max_iterations << "," << dk.mu_grid << "," << dk.gamma_lo
-       << "," << dk.gamma_hi << "," << dk.bisection_steps;
-    os << "|" << model.orderA() << "," << model.orderB() << ","
-       << model.bLag0() << "," << model.sampleTime() << ";";
-    for (std::size_t k = 0; k < model.orderA(); ++k) {
-        hashMatrix(os, model.aCoeff(k));
-    }
-    for (std::size_t k = 0; k < model.orderB(); ++k) {
-        hashMatrix(os, model.bCoeff(k));
-    }
-    hashVector(os, model.uMean());
-    hashVector(os, model.yMean());
-    hashVector(os, model.intercept());
-
-    std::uint64_t h = fnv1a(os.str());
-    std::ostringstream key;
-    key << "adapt-" << std::hex << std::setw(16) << std::setfill('0') << h;
-    return key.str();
-}
-
-std::optional<Resynthesis>
-resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
-                     std::size_t num_external, const robust::DkOptions& dk,
-                     const std::string& cache_key)
-{
-    if (!cache_key.empty()) {
-        auto cached = loadSsvController(cachePath(cache_key));
-        if (cached) {
-            // Round-tripping through text is a fixed point, so the
-            // hit serves byte-identical text to the original miss.
-            return Resynthesis{ssvControllerToText(*cached), true};
-        }
-    }
-    robust::SsvSpec ssv = specFromLayer(spec, model, num_external, dk);
-    auto ctrl = robust::ssvSynthesize(ssv);
-    if (!ctrl) {
-        return std::nullopt;
-    }
-    if (!cache_key.empty()) {
-        saveSsvController(cachePath(cache_key), *ctrl);
-    }
-    return Resynthesis{ssvControllerToText(*ctrl), false};
-}
-
 OnlineAdapter::OnlineAdapter(const LayerSpec& spec,
                              std::size_t num_external,
                              const sysid::ArxModel& shipped,
@@ -331,12 +194,9 @@ OnlineAdapter::synthesize()
         return false;
     }
     ++syntheses_;
-    std::string key =
-        opt_.use_cache
-            ? adaptCacheKey(spec_, *snapshot_, num_external_, opt_.dk)
-            : std::string();
+    // Any non-empty cache_key switches the design cache on.
     auto res = resynthesizeSsvLayer(spec_, *snapshot_, num_external_,
-                                    opt_.dk, key);
+                                    opt_.dk, "on");
     if (sink_ != nullptr) {
         obs::TraceEvent ev = sink_->makeEvent("adapt", "synthesis");
         ev.integer("adapt_tick", static_cast<long long>(tick_))
@@ -368,12 +228,7 @@ OnlineAdapter::runtimeFromText(const std::string& text,
         throw std::runtime_error(
             "OnlineAdapter: unparsable controller text");
     }
-    std::size_t ni = spec_.inputs.size();
-    const Vector& mean = model.uMean();
-    Vector u_mean = mean.segment(0, ni);
-    Vector e_mean = mean.segment(ni, mean.size() - ni);
-    return controllers::SsvRuntime(*ctrl, gridsFromSpecs(spec_.inputs),
-                                   u_mean, e_mean);
+    return makeSsvRuntime(*ctrl, spec_.inputs, model);
 }
 
 controllers::SsvRuntime

@@ -80,40 +80,7 @@ struct AdaptOptions
 
     /** Synthesis recipe (the fleet passes its reduced recipe). */
     robust::DkOptions dk;
-
-    /** Content-hashed design cache for repeated drift on one model. */
-    bool use_cache = true;
 };
-
-/** Outcome of a drift-triggered re-synthesis. */
-struct Resynthesis
-{
-    std::string controller_text;  ///< Cache-text form (exact).
-    bool cache_hit = false;       ///< Served from the design cache.
-};
-
-/**
- * @return a content-hash cache key ("adapt-<hex>") over the model
- * coefficients, the layer spec, and the synthesis options -- repeated
- * drift that converges to the same model hits the same cache entry.
- */
-std::string adaptCacheKey(const LayerSpec& spec,
-                          const sysid::ArxModel& model,
-                          std::size_t num_external,
-                          const robust::DkOptions& dk);
-
-/**
- * Re-runs mu-synthesis for @p spec against an online-identified
- * @p model (designSsvLayer's step 4 without the identification).
- * When @p cache_key is non-empty the design cache is consulted first
- * and populated after a fresh synthesis.
- * @return the controller text, or std::nullopt when synthesis fails.
- */
-std::optional<Resynthesis>
-resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
-                     std::size_t num_external,
-                     const robust::DkOptions& dk,
-                     const std::string& cache_key);
 
 /** Per-board adaptation state machine (see file comment). */
 class OnlineAdapter
@@ -153,10 +120,12 @@ class OnlineAdapter
     bool synthesisDue() const { return phase_ == Phase::kSynthReady; }
 
     /**
-     * Runs the re-synthesis for the frozen model snapshot (pool-task
-     * body: deterministic, idempotent, board-local). On success the
-     * swap is scheduled swap_delay_ticks ahead; on failure the
-     * adapter disables itself.
+     * Runs the re-synthesis for the frozen model snapshot through
+     * resynthesizeSsvLayer and the design cache (pool-task body:
+     * deterministic, idempotent, board-local). Drift that converges
+     * to an already-synthesized model is served from the cache. On
+     * success the swap is scheduled swap_delay_ticks ahead; on
+     * failure the adapter disables itself.
      * @return true on success.
      */
     bool synthesize();

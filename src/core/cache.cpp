@@ -7,6 +7,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/rollup.h"
+
 #ifdef __unix__
 #include <unistd.h>
 #endif
@@ -15,9 +17,15 @@ namespace yukta::core {
 
 using control::StateSpace;
 using linalg::Matrix;
+using linalg::Vector;
 
 namespace {
 
+/**
+ * Written into every entry and folded into every entry name. Bump
+ * when the text format changes, or when the synthesizer's output for
+ * unchanged inputs changes.
+ */
 constexpr int kFormatVersion = 4;
 
 void
@@ -51,14 +59,101 @@ readMatrix(std::istream& is, Matrix& m)
     return true;
 }
 
+// Canonical key text: every double at 17 significant digits (distinct
+// doubles never print alike), every list prefixed by its length.
+
+void
+keyValues(std::ostream& os, const double* v, std::size_t n)
+{
+    os << "|" << n << ":";
+    for (std::size_t i = 0; i < n; ++i) {
+        os << v[i] << ",";
+    }
+}
+
+void
+keyInputs(std::ostream& os, const std::vector<SignalSpec>& inputs)
+{
+    for (const SignalSpec& in : inputs) {
+        const double v[] = {in.min, in.max, in.step, in.weight};
+        keyValues(os, v, 4);
+    }
+}
+
+void
+keyModel(std::ostream& os, const sysid::ArxModel& model)
+{
+    os << "|" << model.numOutputs() << "," << model.numInputs() << ","
+       << model.orderA() << "," << model.orderB() << "," << model.bLag0()
+       << "," << model.sampleTime();
+    for (std::size_t k = 0; k < model.orderA(); ++k) {
+        const Matrix& a = model.aCoeff(k);
+        keyValues(os, a.data(), a.rows() * a.cols());
+    }
+    for (std::size_t k = 0; k < model.orderB(); ++k) {
+        const Matrix& b = model.bCoeff(k);
+        keyValues(os, b.data(), b.rows() * b.cols());
+    }
+    for (const Vector* v :
+         {&model.uMean(), &model.yMean(), &model.intercept()}) {
+        keyValues(os, v->raw().data(), v->size());
+    }
+}
+
+/** @return "<prefix>-<FNV-1a of @p text as 16 hex digits>". */
+std::string
+entryName(const std::string& prefix, const std::string& text)
+{
+    std::ostringstream os;
+    os << prefix << "-" << std::hex << std::setw(16) << std::setfill('0')
+       << obs::fnv1a(text);
+    return os.str();
+}
+
 }  // namespace
+
+std::string
+ssvCacheKey(const LayerSpec& spec, const sysid::ArxModel& model,
+            std::size_t num_external, const robust::DkOptions& dk)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << "ssv|" << kFormatVersion << "|"
+       << num_external << "|" << spec.inputs.size();
+    keyInputs(os, spec.inputs);
+    os << "|" << spec.outputs.size();
+    for (const OutputSpec& out : spec.outputs) {
+        const double v[] = {out.bound_fraction, out.range,
+                            out.critical ? 1.0 : 0.0};
+        keyValues(os, v, 3);
+    }
+    os << "|" << spec.guardband << "," << spec.max_order << ","
+       << spec.perf_boost << "|" << dk.max_iterations << "," << dk.mu_grid
+       << "," << dk.gamma_lo << "," << dk.gamma_hi << ","
+       << dk.bisection_steps;
+    keyModel(os, model);
+    return entryName("ssv", os.str());
+}
+
+std::string
+lqgCacheKey(const std::vector<SignalSpec>& inputs,
+            const std::vector<double>& output_bounds,
+            const sysid::ArxModel& model)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << "lqg|" << kFormatVersion << "|"
+       << inputs.size();
+    keyInputs(os, inputs);
+    keyValues(os, output_bounds.data(), output_bounds.size());
+    keyModel(os, model);
+    return entryName("lqg", os.str());
+}
 
 std::string
 cacheDir()
 {
     // Cache *location* may come from the environment (hermetic tests
-    // redirect it); cache *contents* are keyed purely on config, so
-    // results stay environment-independent.
+    // redirect it); entry *names* are a pure function of the synthesis
+    // inputs, so results stay environment-independent.
     // yukta-audit: allow(getenv)
     const char* env = std::getenv("YUKTA_CACHE_DIR");
     std::string dir = env != nullptr ? env : "yukta_cache";

@@ -3,18 +3,25 @@
 
 /**
  * @file
- * Plain-text (de)serialization of synthesized controllers, so the
- * benchmark binaries do not re-run system identification and
- * mu-synthesis on every invocation. The cache directory defaults to
- * "./yukta_cache" and can be overridden with the YUKTA_CACHE_DIR
- * environment variable.
+ * The design cache: plain-text (de)serialization of synthesized
+ * controllers, so the benchmark binaries do not re-run mu- and LQG
+ * synthesis on every invocation. Each entry is named by a hash of
+ * everything its synthesis reads (ssvCacheKey, lqgCacheKey), so a
+ * lookup can only hit for the inputs that produced the entry. The
+ * cache directory defaults to "./yukta_cache" and can be overridden
+ * with the YUKTA_CACHE_DIR environment variable.
  */
 
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "control/state_space.h"
+#include "core/spec.h"
+#include "robust/dk.h"
 #include "robust/ssv_design.h"
+#include "sysid/arx.h"
 
 namespace yukta::core {
 
@@ -59,6 +66,29 @@ ssvControllerFromText(const std::string& text);
 
 /** @return cacheDir() + "/" + key + ".txt". */
 std::string cachePath(const std::string& key);
+
+/**
+ * @return the entry name ("ssv-" + 16 hex digits) of the SSV controller
+ * synthesized for @p spec against @p model: FNV-1a over every input the
+ * synthesis reads -- the spec's numbers (not its signal names), the
+ * model's orders, sample time, coefficients, means and intercept,
+ * @p num_external, @p dk, and the format version. The model is
+ * identified from records the plant produced, so a changed training
+ * sample or plant constant changes the name.
+ */
+std::string ssvCacheKey(const LayerSpec& spec, const sysid::ArxModel& model,
+                        std::size_t num_external,
+                        const robust::DkOptions& dk);
+
+/**
+ * @return the entry name ("lqg-" + 16 hex digits) of the LQG controller
+ * synthesized over @p inputs and @p output_bounds against @p model:
+ * FNV-1a over the inputs' numbers, the bounds, the model and the
+ * format version.
+ */
+std::string lqgCacheKey(const std::vector<SignalSpec>& inputs,
+                        const std::vector<double>& output_bounds,
+                        const sysid::ArxModel& model);
 
 }  // namespace yukta::core
 

@@ -37,6 +37,40 @@ dropExternalColumns(const sysid::IoData& data, std::size_t num_external)
     return out;
 }
 
+/** The mu-synthesis recipe for @p spec against @p model. */
+robust::SsvSpec
+specFromLayer(const LayerSpec& spec, const sysid::ArxModel& model,
+              std::size_t num_external, const robust::DkOptions& dk)
+{
+    robust::SsvSpec ssv;
+    ssv.model = model.toStateSpace();
+    ssv.num_inputs = spec.inputs.size();
+    ssv.num_external = num_external;
+    for (const SignalSpec& in : spec.inputs) {
+        ssv.in_min.push_back(in.min);
+        ssv.in_max.push_back(in.max);
+        ssv.in_step.push_back(in.step);
+        ssv.in_weight.push_back(in.weight);
+    }
+    ssv.perf_dc_boost = spec.perf_boost;
+    for (const OutputSpec& out : spec.outputs) {
+        ssv.out_bound.push_back(out.bound());
+        ssv.out_range.push_back(out.range);
+        // Critical outputs (powers/temperature) keep their declared
+        // bound as-is: their bounds already sit near the actuator
+        // quantization, and extra DC demand is infeasible.
+        ssv.out_boost.push_back(out.critical ? 1.0 : ssv.perf_dc_boost);
+    }
+    ssv.guardband = spec.guardband;
+    ssv.max_order = spec.max_order;
+    // Moderate closed-loop bandwidth: the 500 ms loop with ~300 ms
+    // sensor latency cannot support corners near Nyquist.
+    ssv.perf_corner = 1.2;
+    ssv.unc_corner = 3.0;
+    ssv.dk = dk;
+    return ssv;
+}
+
 }  // namespace
 
 std::optional<LayerDesign>
@@ -62,65 +96,64 @@ designSsvLayer(const LayerSpec& spec, const sysid::IoData& data,
         sysid::identifyArx(data, controllers::kControlPeriod, options.arx);
     design.fit = sysid::predictionFit(design.model, data);
 
-    // Optional disk cache for the expensive synthesis step.
-    if (!options.cache_key.empty()) {
-        auto cached = loadSsvController(cachePath(options.cache_key));
-        if (cached) {
-            design.controller = std::move(*cached);
-            return design;
-        }
-    }
-
-    // Step 4: mu-synthesis from the spec.
-    robust::SsvSpec ssv;
-    ssv.model = design.model.toStateSpace();
-    ssv.num_inputs = spec.inputs.size();
-    ssv.num_external = num_external;
-    for (const SignalSpec& in : spec.inputs) {
-        ssv.in_min.push_back(in.min);
-        ssv.in_max.push_back(in.max);
-        ssv.in_step.push_back(in.step);
-        ssv.in_weight.push_back(in.weight);
-    }
-    ssv.perf_dc_boost = spec.perf_boost;
-    for (const OutputSpec& out : spec.outputs) {
-        ssv.out_bound.push_back(out.bound());
-        ssv.out_range.push_back(out.range);
-        // Critical outputs (powers/temperature) keep their declared
-        // bound as-is: their bounds already sit near the actuator
-        // quantization, and extra DC demand is infeasible.
-        ssv.out_boost.push_back(out.critical ? 1.0 : ssv.perf_dc_boost);
-    }
-    ssv.guardband = spec.guardband;
-    ssv.max_order = spec.max_order;
-    // Moderate closed-loop bandwidth: the 500 ms loop with ~300 ms
-    // sensor latency cannot support corners near Nyquist.
-    ssv.perf_corner = 1.2;
-    ssv.unc_corner = 3.0;
-    ssv.dk = options.dk;
-
-    auto ctrl = robust::ssvSynthesize(ssv);
+    // Step 4: mu-synthesis from the spec. The text form is an exact
+    // round trip, so a fresh synthesis and a cache hit yield the same
+    // bits.
+    auto res = resynthesizeSsvLayer(spec, design.model, num_external,
+                                    options.dk, options.cache_key);
+    auto ctrl = res ? ssvControllerFromText(res->controller_text)
+                    : std::nullopt;
     if (!ctrl) {
         return std::nullopt;
     }
     design.controller = std::move(*ctrl);
-
-    if (!options.cache_key.empty()) {
-        saveSsvController(cachePath(options.cache_key), design.controller);
-    }
     return design;
+}
+
+std::optional<Resynthesis>
+resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
+                     std::size_t num_external, const robust::DkOptions& dk,
+                     const std::string& cache_key)
+{
+    std::string path;
+    if (!cache_key.empty()) {
+        path = cachePath(ssvCacheKey(spec, model, num_external, dk));
+        auto cached = loadSsvController(path);
+        if (cached) {
+            // Round-tripping through text is a fixed point, so the
+            // hit serves byte-identical text to the original miss.
+            return Resynthesis{ssvControllerToText(*cached), true};
+        }
+    }
+    auto ctrl =
+        robust::ssvSynthesize(specFromLayer(spec, model, num_external, dk));
+    if (!ctrl) {
+        return std::nullopt;
+    }
+    if (!path.empty()) {
+        saveSsvController(path, *ctrl);
+    }
+    return Resynthesis{ssvControllerToText(*ctrl), false};
+}
+
+controllers::SsvRuntime
+makeSsvRuntime(const robust::SsvController& controller,
+               const std::vector<SignalSpec>& inputs,
+               const sysid::ArxModel& model)
+{
+    std::size_t ni = inputs.size();
+    const Vector& mean = model.uMean();
+    Vector u_mean = mean.segment(0, ni);
+    Vector e_mean = mean.segment(ni, mean.size() - ni);
+    return controllers::SsvRuntime(controller, gridsFromSpecs(inputs),
+                                   u_mean, e_mean);
 }
 
 controllers::SsvRuntime
 makeSsvRuntime(const LayerDesign& design)
 {
-    std::size_t ni = design.spec.inputs.size();
-    const Vector& mean = design.model.uMean();
-    Vector u_mean = mean.segment(0, ni);
-    Vector e_mean = mean.segment(ni, mean.size() - ni);
-    return controllers::SsvRuntime(design.controller,
-                                   gridsFromSpecs(design.spec.inputs),
-                                   u_mean, e_mean);
+    return makeSsvRuntime(design.controller, design.spec.inputs,
+                          design.model);
 }
 
 std::optional<LqgDesign>
@@ -149,8 +182,11 @@ designLqgLayer(const std::vector<SignalSpec>& input_specs,
         sysid::identifyArx(own, controllers::kControlPeriod, options.arx);
     design.u_mean = design.model.uMean();
 
+    std::string path;
     if (!options.cache_key.empty()) {
-        auto cached = loadStateSpace(cachePath(options.cache_key));
+        path = cachePath(
+            lqgCacheKey(input_specs, output_bounds, design.model));
+        auto cached = loadStateSpace(path);
         if (cached) {
             design.controller = std::move(*cached);
             return design;
@@ -186,8 +222,8 @@ designLqgLayer(const std::vector<SignalSpec>& input_specs,
     }
     design.controller = std::move(*k);
 
-    if (!options.cache_key.empty()) {
-        saveStateSpace(cachePath(options.cache_key), design.controller);
+    if (!path.empty()) {
+        saveStateSpace(path, design.controller);
     }
     return design;
 }

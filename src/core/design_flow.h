@@ -42,7 +42,9 @@ struct DesignOptions
     /** Order-4 model with the paper's direct u(T) term (Sec. IV-C). */
     sysid::ArxOptions arx{4, 4, 1e-4, true, true};
     robust::DkOptions dk;               ///< D-K iteration options.
-    std::string cache_key;  ///< Non-empty: try/load the disk cache.
+    /** Non-empty switches the design cache on. Entries are named by
+        their synthesis inputs (core/cache.h), never by this value. */
+    std::string cache_key;
 };
 
 /**
@@ -59,7 +61,38 @@ std::optional<LayerDesign> designSsvLayer(const LayerSpec& spec,
                                           std::size_t num_external,
                                           const DesignOptions& options = {});
 
-/** Wraps a LayerDesign into its runtime form (state machine + grids). */
+/** Outcome of one SSV synthesis (step 4 of Fig. 3). */
+struct Resynthesis
+{
+    std::string controller_text;  ///< Cache-text form (exact).
+    bool cache_hit = false;       ///< Served from the design cache.
+};
+
+/**
+ * Runs mu-synthesis for @p spec against an identified @p model: the
+ * one SSV synthesis path, shared by designSsvLayer (offline) and the
+ * online adapter. A non-empty @p cache_key switches the design cache
+ * on: the entry ssvCacheKey(spec, model, num_external, dk) is served
+ * when present and written after a fresh synthesis; the value of
+ * @p cache_key is not part of the name.
+ * @return the controller text, or std::nullopt when synthesis fails.
+ */
+std::optional<Resynthesis>
+resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
+                     std::size_t num_external,
+                     const robust::DkOptions& dk,
+                     const std::string& cache_key);
+
+/**
+ * Wraps an SSV controller into its runtime form (state machine +
+ * grids). @p model supplies the operating point: its input means,
+ * split into the @p inputs actuated channels and the external rest.
+ */
+controllers::SsvRuntime makeSsvRuntime(const robust::SsvController& controller,
+                                       const std::vector<SignalSpec>& inputs,
+                                       const sysid::ArxModel& model);
+
+/** makeSsvRuntime for a LayerDesign. */
 controllers::SsvRuntime makeSsvRuntime(const LayerDesign& design);
 
 /** An LQG design for a layer (Sec. VI-B baseline). */

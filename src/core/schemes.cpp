@@ -1,7 +1,6 @@
 #include "core/schemes.h"
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "controllers/heuristics.h"
@@ -42,27 +41,6 @@ allSchemes()
             Scheme::kDecoupledLqg, Scheme::kMonolithicLqg};
 }
 
-namespace {
-
-std::string
-keyFor(const ArtifactOptions& opt, const std::string& layer)
-{
-    if (opt.cache_tag.empty()) {
-        return "";
-    }
-    std::ostringstream os;
-    os << opt.cache_tag << "_" << layer << "_gb"
-       << static_cast<int>(100 * opt.hw_guardband) << "_ob"
-       << static_cast<int>(100 * opt.os_guardband) << "_pb"
-       << static_cast<int>(100 * opt.hw_perf_bound) << "_sb"
-       << static_cast<int>(100 * opt.os_bound) << "_wh"
-       << static_cast<int>(100 * opt.hw_input_weight) << "_wo"
-       << static_cast<int>(100 * opt.os_input_weight);
-    return os.str();
-}
-
-}  // namespace
-
 Artifacts
 buildArtifacts(const platform::BoardConfig& cfg,
                const ArtifactOptions& options)
@@ -79,19 +57,17 @@ buildArtifacts(const platform::BoardConfig& cfg,
         softwareLayerSpec(art.training.os_ranges, options.os_guardband,
                           options.os_bound, options.os_input_weight);
 
-    DesignOptions hw_opts;
-    hw_opts.dk = options.dk;
-    hw_opts.cache_key = keyFor(options, "hwssv");
-    auto hw = designSsvLayer(hw_spec, art.training.hw, 3, hw_opts);
+    // The cache switch is shared; each entry is named by its inputs.
+    DesignOptions design_opts;
+    design_opts.dk = options.dk;
+    design_opts.cache_key = options.cache_tag;
+    auto hw = designSsvLayer(hw_spec, art.training.hw, 3, design_opts);
     if (!hw) {
         throw std::runtime_error("buildArtifacts: HW SSV synthesis failed");
     }
     art.hw_ssv = std::move(*hw);
 
-    DesignOptions os_opts;
-    os_opts.dk = options.dk;
-    os_opts.cache_key = keyFor(options, "osssv");
-    auto os = designSsvLayer(os_spec, art.training.os, 4, os_opts);
+    auto os = designSsvLayer(os_spec, art.training.os, 4, design_opts);
     if (!os) {
         throw std::runtime_error("buildArtifacts: OS SSV synthesis failed");
     }
@@ -106,19 +82,15 @@ buildArtifacts(const platform::BoardConfig& cfg,
         return b;
     };
 
-    DesignOptions lqg_hw_opts;
-    lqg_hw_opts.cache_key = keyFor(options, "hwlqg");
     auto hw_lqg = designLqgLayer(hw_spec.inputs, bounds(hw_spec),
-                                 art.training.hw, 3, lqg_hw_opts);
+                                 art.training.hw, 3, design_opts);
     if (!hw_lqg) {
         throw std::runtime_error("buildArtifacts: HW LQG synthesis failed");
     }
     art.hw_lqg = std::move(*hw_lqg);
 
-    DesignOptions lqg_os_opts;
-    lqg_os_opts.cache_key = keyFor(options, "oslqg");
     auto os_lqg = designLqgLayer(os_spec.inputs, bounds(os_spec),
-                                 art.training.os, 4, lqg_os_opts);
+                                 art.training.os, 4, design_opts);
     if (!os_lqg) {
         throw std::runtime_error("buildArtifacts: OS LQG synthesis failed");
     }
@@ -133,10 +105,8 @@ buildArtifacts(const platform::BoardConfig& cfg,
     for (double b : bounds(os_spec)) {
         joint_bounds.push_back(b);
     }
-    DesignOptions mono_opts;
-    mono_opts.cache_key = keyFor(options, "monolqg");
     auto mono = designLqgLayer(joint_inputs, joint_bounds,
-                               art.training.joint, 0, mono_opts);
+                               art.training.joint, 0, design_opts);
     if (!mono) {
         throw std::runtime_error(
             "buildArtifacts: monolithic LQG synthesis failed");

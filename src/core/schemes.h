@@ -64,7 +64,9 @@ struct ArtifactOptions
                                      ///< the range for OS knobs).
     TrainingOptions training;        ///< Campaign options.
     robust::DkOptions dk;            ///< Synthesis options.
-    std::string cache_tag = "paper";  ///< "" disables the disk cache.
+    /** Non-empty switches the design cache on ("" disables it). Entries
+        are named by their synthesis inputs, never by this value. */
+    std::string cache_tag = "on";
 };
 
 /**

@@ -8,9 +8,8 @@ core::Artifacts
 fleetArtifacts()
 {
     core::ArtifactOptions opt;
-    // Must stay identical to goldenArtifacts() in
-    // tests/golden/scenario.h: same recipe, same cache entry.
-    opt.cache_tag = "golden";
+    // The recipe of goldenArtifacts() in tests/golden/scenario.h; the
+    // two share their design-cache entries while they stay identical.
     opt.training.apps = {"swaptions", "milc"};
     opt.training.seconds_per_app = 60.0;
     opt.dk.max_iterations = 1;

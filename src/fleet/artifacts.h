@@ -18,7 +18,7 @@ namespace yukta::fleet {
  * Builds (or loads from the on-disk cache) the reduced artifact
  * bundle fleet runs execute against. Deterministic and bit-stable,
  * matching tests/golden/scenario.h's goldenArtifacts() so the two
- * share one cache entry.
+ * share their design-cache entries.
  */
 core::Artifacts fleetArtifacts();
 

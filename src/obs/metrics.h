@@ -7,7 +7,7 @@
  * histograms with lock-free hot paths (atomics) and a mutex only on
  * first registration. Unlike trace events (obs/trace.h), metrics may
  * carry wall-clock quantities — they are operational telemetry about
- * the *runner process* (tick latency, cache hit rate, retries), never
+ * the *runner process* (tick latency, run wall time, retries), never
  * part of a run's deterministic trace. Snapshots are name-sorted so
  * their rendering is stable.
  */

@@ -213,10 +213,10 @@ RunningStat::load(StateReader& r)
 std::uint64_t
 fnv1a(const std::string& text)
 {
-    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t h = 0xcbf29ce484222325ull;
     for (const char c : text) {
         h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 1099511628211ull;
+        h *= 0x100000001b3ull;
     }
     return h;
 }

@@ -52,13 +52,11 @@ toJsonLine(const RunRecord& r)
 {
     std::ostringstream os;
     os << std::setprecision(17);
-    os << "{\"key\":\"" << jsonEscape(r.key) << "\""
-       << ",\"index\":" << r.index
+    os << "{\"index\":" << r.index
        << ",\"scheme\":\"" << jsonEscape(core::schemeName(r.scheme)) << "\""
        << ",\"workload\":\"" << jsonEscape(r.workload) << "\""
        << ",\"seed\":" << r.seed
        << ",\"status\":\"" << taskStatusName(r.status) << "\""
-       << ",\"cache_hit\":" << (r.cache_hit ? "true" : "false")
        << ",\"wall_seconds\":" << r.wall_seconds
        << ",\"attempts\":" << r.attempts
        << ",\"exec_time\":" << r.metrics.exec_time
@@ -116,9 +114,9 @@ ProgressReporter::report(const RunRecord& r)
     ++done_;
     *os_ << "[" << done_ << "/" << total_ << "] "
          << core::schemeName(r.scheme) << " | " << r.workload << " | seed "
-         << r.seed << " | " << taskStatusName(r.status)
-         << (r.cache_hit ? " (cached)" : "") << " | " << std::fixed
-         << std::setprecision(1) << r.wall_seconds << "s" << std::endl;
+         << r.seed << " | " << taskStatusName(r.status) << " | "
+         << std::fixed << std::setprecision(1) << r.wall_seconds << "s"
+         << std::endl;
 }
 
 }  // namespace yukta::runner

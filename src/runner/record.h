@@ -24,7 +24,6 @@ namespace yukta::runner {
 struct RunRecord
 {
     std::size_t index = 0;       ///< Position in the expanded sweep.
-    std::string key;             ///< Content hash of the run config.
     core::Scheme scheme = core::Scheme::kCoordinatedHeuristic;
     std::string workload;        ///< App or mix name.
     std::uint32_t seed = 1;
@@ -34,7 +33,6 @@ struct RunRecord
     std::string error;           ///< Exception text when status=error.
     std::string error_type;      ///< Exception type when status=error.
     int attempts = 0;            ///< Pool attempts (retries included).
-    bool cache_hit = false;      ///< Metrics came from the run cache.
     double wall_seconds = 0.0;   ///< Wall-clock cost of this run.
     long long trace_events = 0;  ///< Structured events captured (0 =
                                  ///< event tracing was off).

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -18,96 +16,9 @@
 #include "obs/trace.h"
 #include "platform/apps.h"
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#endif
-
 namespace yukta::runner {
 
 using controllers::RunMetrics;
-
-namespace {
-
-// v2: adds violation time, supervision flag, fault-injection tallies,
-// and the supervisor summary to the cached result format.
-constexpr int kRunFormatVersion = 2;
-
-/**
- * Process-wide lock for the shared cache directory: an in-process
- * mutex (flock does not exclude threads sharing one file
- * description) plus an advisory flock on <cachedir>/.lock so
- * concurrently-running benches can share yukta_cache. Readers do not
- * take the lock: atomicWriteFile's rename guarantees they always see
- * a complete file.
- */
-class CacheLockGuard
-{
-  public:
-    CacheLockGuard() : guard_(processMutex())
-    {
-#ifdef __unix__
-        fd_ = lockFd();
-        if (fd_ >= 0) {
-            ::flock(fd_, LOCK_EX);
-        }
-#endif
-    }
-
-    ~CacheLockGuard()
-    {
-#ifdef __unix__
-        if (fd_ >= 0) {
-            ::flock(fd_, LOCK_UN);
-        }
-#endif
-    }
-
-    CacheLockGuard(const CacheLockGuard&) = delete;
-    CacheLockGuard& operator=(const CacheLockGuard&) = delete;
-
-  private:
-    static std::mutex& processMutex()
-    {
-        static std::mutex m;
-        return m;
-    }
-
-#ifdef __unix__
-    static int lockFd()
-    {
-        static const int fd = ::open(
-            (core::cacheDir() + "/.lock").c_str(), O_CREAT | O_RDWR, 0644);
-        return fd;
-    }
-
-    int fd_ = -1;
-#endif
-    std::lock_guard<std::mutex> guard_;
-};
-
-/** 64-bit FNV-1a over the canonical run description. */
-std::uint64_t
-fnv1a(const std::string& s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::string
-canonicalDouble(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(17) << v;
-    return os.str();
-}
-
-}  // namespace
 
 std::string
 schemeId(core::Scheme scheme)
@@ -165,21 +76,6 @@ expandSweep(const SweepSpec& spec)
 }
 
 std::string
-runKey(const RunSpec& run, const std::string& artifact_tag)
-{
-    std::ostringstream os;
-    os << "run|v" << kRunFormatVersion << "|" << artifact_tag << "|"
-       << schemeId(run.scheme) << "|" << run.workload << "|" << run.seed
-       << "|" << canonicalDouble(run.max_seconds) << "|"
-       << canonicalDouble(run.trace_interval) << "|" << run.fault_plan
-       << "|" << (run.supervised ? 1 : 0);
-    std::ostringstream hex;
-    hex << std::hex << std::setw(16) << std::setfill('0')
-        << fnv1a(os.str());
-    return hex.str();
-}
-
-std::string
 runTraceId(std::size_t index, const RunSpec& run)
 {
     std::ostringstream os;
@@ -196,66 +92,6 @@ makeWorkload(const std::string& name)
         return platform::AppCatalog::getMix(name);
     }
     return platform::Workload(platform::AppCatalog::get(name));
-}
-
-bool
-saveRunMetrics(const std::string& path, const RunMetrics& m)
-{
-    std::ostringstream os;
-    os << "yukta-run " << kRunFormatVersion << "\n";
-    os << std::setprecision(17);
-    os << m.exec_time << " " << m.energy << " " << m.exd << " "
-       << (m.completed ? 1 : 0) << " " << m.emergency_time << " "
-       << m.periods << "\n";
-    // v2 robustness block: board-truth violation time, whether the
-    // supervisor ran, injector tallies, and the supervisor summary
-    // (events, like traces, are not persisted).
-    os << m.violation_time << " " << (m.supervised ? 1 : 0) << " "
-       << m.faults.corrupted_ticks << " " << m.faults.corrupted_fields
-       << " " << m.faults.actuator_faults << " " << m.faults.dropped_ticks
-       << " " << m.supervisor.transition_count << " "
-       << m.supervisor.invalid_ticks << " " << m.supervisor.repaired_fields
-       << " " << m.supervisor.repaired_commands << " "
-       << m.supervisor.skipped_ticks << " " << m.supervisor.time_nominal
-       << " " << m.supervisor.time_hold << " " << m.supervisor.time_fallback
-       << " " << m.supervisor.time_safe << "\n";
-    CacheLockGuard lock;
-    return core::atomicWriteFile(path, os.str());
-}
-
-std::optional<RunMetrics>
-loadRunMetrics(const std::string& path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        return std::nullopt;
-    }
-    std::string magic;
-    int version = 0;
-    if (!(is >> magic >> version) || magic != "yukta-run" ||
-        version != kRunFormatVersion) {
-        return std::nullopt;
-    }
-    RunMetrics m;
-    int completed = 0;
-    if (!(is >> m.exec_time >> m.energy >> m.exd >> completed >>
-          m.emergency_time >> m.periods)) {
-        return std::nullopt;
-    }
-    m.completed = completed != 0;
-    int supervised = 0;
-    if (!(is >> m.violation_time >> supervised >>
-          m.faults.corrupted_ticks >> m.faults.corrupted_fields >>
-          m.faults.actuator_faults >> m.faults.dropped_ticks >>
-          m.supervisor.transition_count >> m.supervisor.invalid_ticks >>
-          m.supervisor.repaired_fields >> m.supervisor.repaired_commands >>
-          m.supervisor.skipped_ticks >> m.supervisor.time_nominal >>
-          m.supervisor.time_hold >> m.supervisor.time_fallback >>
-          m.supervisor.time_safe)) {
-        return std::nullopt;
-    }
-    m.supervised = supervised != 0;
-    return m;
 }
 
 std::size_t
@@ -285,7 +121,7 @@ SweepResult::metricsFor(core::Scheme scheme, const std::string& workload,
 
 SweepResult
 runAll(const core::Artifacts& artifacts, const std::vector<RunSpec>& runs,
-       const std::string& artifact_tag, const RunnerOptions& options)
+       const RunnerOptions& options)
 {
     const bool traced = !options.trace_dir.empty();
     const bool trace_jsonl = options.trace_format == "jsonl" ||
@@ -312,7 +148,6 @@ runAll(const core::Artifacts& artifacts, const std::vector<RunSpec>& runs,
     for (std::size_t i = 0; i < runs.size(); ++i) {
         RunRecord& r = result.records[i];
         r.index = i;
-        r.key = runKey(runs[i], artifact_tag);
         r.scheme = runs[i].scheme;
         r.workload = runs[i].workload;
         r.seed = runs[i].seed;
@@ -327,23 +162,6 @@ runAll(const core::Artifacts& artifacts, const std::vector<RunSpec>& runs,
     for (std::size_t i = 0; i < runs.size(); ++i) {
         tasks.push_back([&, i](const CancelToken& token) {
             const RunSpec& run = runs[i];
-            RunRecord& record = result.records[i];
-            // Traced runs carry their full trace (or event log) in
-            // memory and are never persisted, so they bypass the
-            // result cache.
-            const bool cacheable = options.use_cache &&
-                                   run.trace_interval <= 0.0 && !traced;
-            if (cacheable) {
-                auto cached = loadRunMetrics(
-                    core::cachePath("run-" + record.key));
-                if (cached) {
-                    record.metrics = std::move(*cached);
-                    record.cache_hit = true;
-                    obs::globalMetrics().counter("runner.cache_hit").add(1);
-                    return;
-                }
-                obs::globalMetrics().counter("runner.cache_miss").add(1);
-            }
             if (token.expired()) {
                 throw std::runtime_error(
                     "cancelled before the run started");
@@ -369,12 +187,7 @@ runAll(const core::Artifacts& artifacts, const std::vector<RunSpec>& runs,
                 sinks[i]->clear();
                 system.attachTraceSink(sinks[i].get());
             }
-            record.metrics = system.run(run.max_seconds);
-            if (cacheable) {
-                saveRunMetrics(core::cachePath("run-" + record.key),
-                               record.metrics);
-                obs::globalMetrics().counter("runner.cache_store").add(1);
-            }
+            result.records[i].metrics = system.run(run.max_seconds);
         });
     }
 
@@ -459,7 +272,7 @@ SweepResult
 runSweep(const core::Artifacts& artifacts, const SweepSpec& spec,
          const RunnerOptions& options)
 {
-    return runAll(artifacts, expandSweep(spec), spec.artifact_tag, options);
+    return runAll(artifacts, expandSweep(spec), options);
 }
 
 }  // namespace yukta::runner

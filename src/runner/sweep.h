@@ -3,17 +3,14 @@
 
 /**
  * @file
- * Declarative experiment sweeps over (scheme x workload x seed) with
- * a work-stealing pool and a persistent, concurrency-safe run-result
- * cache layered on core/cache.
+ * Declarative experiment sweeps over (scheme x workload x seed) on a
+ * work-stealing pool.
  *
- * A sweep expands to a deterministic run list; each run is keyed by a
- * content hash of everything that determines its outcome, so results
- * can be reused across bench invocations (and shared between
- * concurrently-running benches: cache writes go through an atomic
- * temp-file + rename protected by a process-wide file lock).
- * Aggregated results are index-ordered and therefore independent of
- * worker count and completion order.
+ * A sweep expands to a deterministic run list, and every run executes
+ * live against the given artifact bundle (only the design flow that
+ * builds the bundle is cached, see core/cache.h). Aggregated results
+ * are index-ordered and therefore independent of worker count and
+ * completion order.
  */
 
 #include <cstdint>
@@ -28,7 +25,7 @@
 
 namespace yukta::runner {
 
-/** Stable short identifier for CLI flags and run keys. */
+/** Stable short identifier for CLI flags and trace file names. */
 std::string schemeId(core::Scheme scheme);
 
 /** Parses a schemeId() string (e.g. "yukta-full"). */
@@ -41,7 +38,7 @@ struct RunSpec
     std::string workload;         ///< App name or Sec. VI-C mix name.
     std::uint32_t seed = 1;
     double max_seconds = 1200.0;  ///< Simulated-time budget.
-    double trace_interval = 0.0;  ///< >0 records a trace (uncached).
+    double trace_interval = 0.0;  ///< >0 records a trace.
     std::string fault_plan;       ///< fault::FaultPlan spec; "" = none.
     bool supervised = false;      ///< Wrap controllers in a Supervisor.
 };
@@ -56,13 +53,6 @@ struct SweepSpec
     double trace_interval = 0.0;
     std::string fault_plan;   ///< Applied to every expanded run.
     bool supervised = false;  ///< Applied to every expanded run.
-
-    /**
-     * Folded into every run key; must identify the artifact bundle
-     * the runs execute against (reuse ArtifactOptions::cache_tag plus
-     * any option overrides).
-     */
-    std::string artifact_tag = "paper";
 };
 
 /**
@@ -70,13 +60,6 @@ struct SweepSpec
  * schemes x workloads x seeds.
  */
 std::vector<RunSpec> expandSweep(const SweepSpec& spec);
-
-/**
- * @return the content hash (hex) keying one run's cached result:
- * covers scheme, workload, seed, budget, trace interval, fault plan,
- * supervision flag, artifact tag, and the cache format version.
- */
-std::string runKey(const RunSpec& run, const std::string& artifact_tag);
 
 /** Resolves an app or mix name to a runnable workload. */
 platform::Workload makeWorkload(const std::string& name);
@@ -87,27 +70,10 @@ platform::Workload makeWorkload(const std::string& name);
  */
 std::string runTraceId(std::size_t index, const RunSpec& run);
 
-/**
- * Serializes run metrics to the result cache at @p path (atomic
- * temp-file + rename under the process-wide cache lock).
- * The trace is not persisted.
- */
-bool saveRunMetrics(const std::string& path,
-                    const controllers::RunMetrics& metrics);
-
-/**
- * Loads cached run metrics. Unreadable, truncated, or
- * version-mismatched files are treated as a miss (std::nullopt),
- * never an error.
- */
-std::optional<controllers::RunMetrics>
-loadRunMetrics(const std::string& path);
-
 /** Engine knobs. */
 struct RunnerOptions
 {
     std::size_t workers = 1;     ///< 0/1 = run inline, no threads.
-    bool use_cache = true;       ///< Consult/fill the run cache.
     double run_timeout_seconds = 0.0;  ///< Wall clock per run; <=0 off.
     std::ostream* progress = nullptr;  ///< Live one-line-per-run feed.
     std::ostream* jsonl = nullptr;     ///< Records as JSONL (post-run,
@@ -117,9 +83,9 @@ struct RunnerOptions
 
     /**
      * Non-empty = write one per-tick structured event trace per run
-     * into this directory (created if absent). Traced runs bypass the
-     * result cache; the trace files are written post-hoc in index
-     * order and are bit-identical regardless of worker count.
+     * into this directory (created if absent). The trace files are
+     * written post-hoc in index order and are bit-identical
+     * regardless of worker count.
      */
     std::string trace_dir;
 
@@ -127,8 +93,8 @@ struct RunnerOptions
     std::string trace_format = "jsonl";
 
     /**
-     * Snapshot the global metrics registry (cache hit rates, retry
-     * counts, wall-time histograms, contract-check count) into
+     * Snapshot the global metrics registry (retry counts, wall-time
+     * histograms, contract-check count) into
      * SweepResult::metrics_json after the sweep. Off by default: the
      * snapshot includes wall-clock-derived values, so it is the one
      * sweep output that is NOT deterministic.
@@ -172,7 +138,6 @@ SweepResult runSweep(const core::Artifacts& artifacts,
 /** As runSweep, for an explicit run list (already expanded). */
 SweepResult runAll(const core::Artifacts& artifacts,
                    const std::vector<RunSpec>& runs,
-                   const std::string& artifact_tag,
                    const RunnerOptions& options = {});
 
 }  // namespace yukta::runner

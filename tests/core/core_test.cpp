@@ -1,15 +1,19 @@
 // End-to-end tests of the Yukta core: specs, interface exchange,
-// training campaign, design flow, controller cache, and the scheme
-// factory. A reduced design (short campaign, coarse D-K options) is
-// built once and shared across tests.
+// training campaign, design flow, the content-keyed design cache, and
+// the scheme factory. A reduced design (short campaign, coarse D-K
+// options) is built once and shared across tests.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/cache.h"
 #include "core/report.h"
 #include "core/schemes.h"
+#include "core/toy_layer.h"
 #include "core/yukta.h"
 
 #include <sstream>
@@ -21,6 +25,53 @@ using platform::AppCatalog;
 using platform::BoardConfig;
 using platform::Workload;
 
+/** Points the design cache at a fresh private directory. */
+class CacheDirEnvironment : public ::testing::Environment
+{
+  public:
+    void SetUp() override
+    {
+        std::filesystem::remove_all(dir());
+        std::filesystem::create_directories(dir());
+        ASSERT_EQ(setenv("YUKTA_CACHE_DIR", dir().c_str(), 1), 0);
+    }
+
+    static std::string dir()
+    {
+        return (std::filesystem::temp_directory_path() / "yukta_core_test")
+            .string();
+    }
+};
+
+::testing::Environment* const cache_env =
+    ::testing::AddGlobalTestEnvironment(new CacheDirEnvironment);
+
+/** @return the number of design-cache entries. */
+std::size_t
+cacheEntries()
+{
+    std::size_t n = 0;
+    // yukta-audit: allow(dir-iter) only counted
+    for (const auto& e : std::filesystem::directory_iterator(
+             CacheDirEnvironment::dir())) {
+        n += e.path().extension() == ".txt" ? 1 : 0;
+    }
+    return n;
+}
+
+/** The reduced recipe of fleet::fleetArtifacts(). */
+ArtifactOptions
+reducedRecipe()
+{
+    ArtifactOptions opt;
+    opt.training.apps = {"swaptions", "milc"};
+    opt.training.seconds_per_app = 60.0;
+    opt.dk.max_iterations = 1;
+    opt.dk.mu_grid = 12;
+    opt.dk.bisection_steps = 8;
+    return opt;
+}
+
 /** Shares one reduced artifact bundle across all core tests. */
 class CoreFixture : public ::testing::Test
 {
@@ -28,14 +79,7 @@ class CoreFixture : public ::testing::Test
     static void SetUpTestSuite()
     {
         cfg_ = new BoardConfig(BoardConfig::odroidXu3());
-        ArtifactOptions opt;
-        opt.cache_tag = "coretest";
-        opt.training.apps = {"swaptions", "milc"};
-        opt.training.seconds_per_app = 60.0;
-        opt.dk.max_iterations = 1;
-        opt.dk.mu_grid = 12;
-        opt.dk.bisection_steps = 8;
-        artifacts_ = new Artifacts(buildArtifacts(*cfg_, opt));
+        artifacts_ = new Artifacts(buildArtifacts(*cfg_, reducedRecipe()));
     }
 
     static void TearDownTestSuite()
@@ -153,6 +197,73 @@ TEST(Cache, SsvControllerRoundTrip)
     EXPECT_DOUBLE_EQ(loaded->design_bounds[0], 0.5);
     EXPECT_TRUE(loaded->k.a.isApprox(ctrl.k.a, 1e-15));
     std::remove(path.c_str());
+}
+
+sysid::ArxModel
+identifyToy(const sysid::IoData& data)
+{
+    return sysid::identifyArx(data, controllers::kControlPeriod,
+                              test::toyArx());
+}
+
+TEST(DesignCache, ContentKeysHitOnlyForIdenticalInputs)
+{
+    const LayerSpec spec = test::toySpec();
+    const sysid::IoData data = test::toyRecords();
+    const robust::DkOptions dk = reducedRecipe().dk;
+    const std::size_t before = cacheEntries();
+
+    auto first = resynthesizeSsvLayer(spec, identifyToy(data), 1, dk, "on");
+    ASSERT_TRUE(first.has_value());
+    EXPECT_FALSE(first->cache_hit);
+    EXPECT_EQ(cacheEntries(), before + 1);
+
+    // Identical inputs hit and serve the same bytes. The switch's
+    // value and the signal names are not part of the entry name.
+    LayerSpec renamed = spec;
+    renamed.inputs[0].name = "v1";
+    auto hit =
+        resynthesizeSsvLayer(renamed, identifyToy(data), 1, dk, "other");
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->cache_hit);
+    EXPECT_EQ(hit->controller_text, first->controller_text);
+    EXPECT_EQ(cacheEntries(), before + 1);
+
+    // Each changed input misses: one perturbed training sample (so a
+    // different identified model), one spec bound, one D-K option.
+    sysid::IoData perturbed = data;
+    perturbed.y[200][0] += 1e-3;
+    LayerSpec bound = spec;
+    bound.outputs[0].bound_fraction = 0.25;
+    robust::DkOptions finer = dk;
+    finer.mu_grid += 1;
+    const std::optional<Resynthesis> misses[] = {
+        resynthesizeSsvLayer(spec, identifyToy(perturbed), 1, dk, "on"),
+        resynthesizeSsvLayer(bound, identifyToy(data), 1, dk, "on"),
+        resynthesizeSsvLayer(spec, identifyToy(data), 1, finer, "on")};
+    for (const auto& miss : misses) {
+        ASSERT_TRUE(miss.has_value());
+        EXPECT_FALSE(miss->cache_hit);
+    }
+    EXPECT_EQ(cacheEntries(), before + 4);
+}
+
+TEST(DesignCache, HwGuardbandSharesEveryEntryItDoesNotRead)
+{
+    const BoardConfig cfg = BoardConfig::odroidXu3();
+    ArtifactOptions opt = reducedRecipe();
+    const Artifacts base = buildArtifacts(cfg, opt);
+    const std::size_t after_base = cacheEntries();
+
+    // Only the HW SSV synthesis reads the HW guardband: the OS SSV
+    // and all three LQG designs are served from the first build.
+    opt.hw_guardband = 1.0;
+    const Artifacts wide = buildArtifacts(cfg, opt);
+    EXPECT_EQ(cacheEntries(), after_base + 1);
+    EXPECT_EQ(ssvControllerToText(wide.os_ssv.controller),
+              ssvControllerToText(base.os_ssv.controller));
+    EXPECT_NE(ssvControllerToText(wide.hw_ssv.controller),
+              ssvControllerToText(base.hw_ssv.controller));
 }
 
 TEST_F(CoreFixture, ArtifactsCarryCertifiedControllers)

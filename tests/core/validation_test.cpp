@@ -1,57 +1,23 @@
 // Tests for the Fig. 3 nominal validation step.
-#include <random>
-
 #include <gtest/gtest.h>
 
+#include "core/toy_layer.h"
 #include "core/validation.h"
 
 namespace yukta::core {
 namespace {
 
-using linalg::Matrix;
-using linalg::Vector;
-
-/** A small, well-behaved layer design built directly (no campaign). */
+/** The toy layer's design, synthesized through the real flow. */
 LayerDesign
 makeToyDesign()
 {
-    // Plant: decoupled 2x2 lags with gains, one external channel.
-    // y_i(T) = 0.5 y_i(T-1) + g_i u_i(T-1).
-    std::vector<Matrix> a_coeffs = {Matrix{{0.5, 0.0}, {0.0, 0.6}}};
-    std::vector<Matrix> b_coeffs = {
-        Matrix{{0.8, 0.0, 0.05}, {0.0, 0.5, 0.02}}};
-    sysid::ArxModel model(a_coeffs, b_coeffs, Vector{2.0, 1.0, 0.0},
-                          Vector{3.0, 1.2}, 0.5);
-
-    LayerSpec spec;
-    spec.layer_name = "toy";
-    spec.inputs = {{"u1", 0.0, 4.0, 0.1, 1.0}, {"u2", 0.0, 2.0, 0.1, 1.0}};
-    spec.outputs = {{"y1", 0.2, 4.0, false}, {"y2", 0.2, 2.0, false}};
-    spec.external_names = {"e1"};
-    spec.guardband = 0.3;
-    spec.max_order = 8;
-
     DesignOptions options;
-    options.arx = {1, 1, 1e-8, false, false};
+    options.arx = test::toyArx();
     options.dk.max_iterations = 1;
     options.dk.bisection_steps = 10;
     options.dk.mu_grid = 12;
-
-    // Synthesize through the same path the real flow uses, feeding the
-    // model's own simulated data (exact identification).
-    sysid::IoData data;
-    control::StateSpace ss = model.toStateSpace();
-    Vector x = Vector::zeros(ss.numStates());
-    std::mt19937 rng(9);
-    std::uniform_real_distribution<double> du(-1.0, 1.0);
-    for (int t = 0; t < 400; ++t) {
-        Vector u{2.0 + 2.0 * du(rng), 1.0 + du(rng), 0.3 * du(rng)};
-        Vector uc = u - model.uMean();
-        Vector y = control::stepOnce(ss, x, uc) + model.yMean();
-        data.u.push_back(u);
-        data.y.push_back(y);
-    }
-    auto design = designSsvLayer(spec, data, 1, options);
+    auto design =
+        designSsvLayer(test::toySpec(), test::toyRecords(), 1, options);
     EXPECT_TRUE(design.has_value());
     return *design;
 }

@@ -293,8 +293,6 @@ TEST(FaultRunner, RecordsAndEventLogsAreWorkerCountInvariant)
     spec.supervised = true;
 
     runner::RunnerOptions options;
-    options.use_cache = false;
-
     options.workers = 1;
     runner::SweepResult serial = runner::runSweep(art, spec, options);
     options.workers = 4;
@@ -305,7 +303,6 @@ TEST(FaultRunner, RecordsAndEventLogsAreWorkerCountInvariant)
     for (std::size_t i = 0; i < serial.records.size(); ++i) {
         const auto& a = serial.records[i];
         const auto& b = parallel.records[i];
-        EXPECT_EQ(a.key, b.key);
         EXPECT_EQ(a.metrics.exd, b.metrics.exd);
         EXPECT_EQ(a.metrics.energy, b.metrics.energy);
         EXPECT_EQ(a.metrics.violation_time, b.metrics.violation_time);
@@ -386,9 +383,7 @@ TEST(FaultRunner, MalformedPlanFailsOnlyItsOwnRun)
     runs[1] = runs[0];
     runs[1].fault_plan = "p_big:bogus@0+1";
 
-    runner::RunnerOptions options;
-    options.use_cache = false;
-    auto result = runner::runAll(art, runs, "faulttest", options);
+    auto result = runner::runAll(art, runs);
     EXPECT_EQ(result.records[0].status,
               runner::TaskOutcome::Status::kOk);
     EXPECT_EQ(result.records[1].status,
@@ -396,59 +391,6 @@ TEST(FaultRunner, MalformedPlanFailsOnlyItsOwnRun)
     EXPECT_EQ(result.records[1].error_type, "std::invalid_argument");
     EXPECT_NE(result.records[1].error.find("FaultPlan"),
               std::string::npos);
-}
-
-TEST(FaultRunner, FaultPlanAndSupervisionChangeTheRunKey)
-{
-    runner::RunSpec base;
-    base.scheme = core::Scheme::kYuktaFull;
-    base.workload = "swaptions";
-    runner::RunSpec faulted = base;
-    faulted.fault_plan = "seed=11;p_big:nan@5+5";
-    runner::RunSpec supervised = faulted;
-    supervised.supervised = true;
-    EXPECT_NE(runner::runKey(base, "t"), runner::runKey(faulted, "t"));
-    EXPECT_NE(runner::runKey(faulted, "t"),
-              runner::runKey(supervised, "t"));
-}
-
-TEST(FaultRunner, RobustnessMetricsSurviveTheCacheRoundTrip)
-{
-    controllers::RunMetrics m;
-    m.exec_time = 10.0;
-    m.energy = 5.0;
-    m.exd = 50.0;
-    m.completed = true;
-    m.periods = 20;
-    m.violation_time = 2.5;
-    m.supervised = true;
-    m.faults.corrupted_ticks = 7;
-    m.faults.corrupted_fields = 9;
-    m.faults.actuator_faults = 3;
-    m.faults.dropped_ticks = 2;
-    m.supervisor.transition_count = 4;
-    m.supervisor.invalid_ticks = 7;
-    m.supervisor.repaired_fields = 9;
-    m.supervisor.repaired_commands = 1;
-    m.supervisor.skipped_ticks = 2;
-    m.supervisor.time_nominal = 6.0;
-    m.supervisor.time_hold = 1.0;
-    m.supervisor.time_fallback = 2.0;
-    m.supervisor.time_safe = 1.0;
-
-    const std::string path =
-        ::testing::TempDir() + "yukta_fault_roundtrip.txt";
-    ASSERT_TRUE(runner::saveRunMetrics(path, m));
-    auto loaded = runner::loadRunMetrics(path);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->violation_time, m.violation_time);
-    EXPECT_EQ(loaded->supervised, m.supervised);
-    EXPECT_EQ(loaded->faults.corrupted_fields,
-              m.faults.corrupted_fields);
-    EXPECT_EQ(loaded->supervisor.transition_count,
-              m.supervisor.transition_count);
-    EXPECT_EQ(loaded->supervisor.time_fallback,
-              m.supervisor.time_fallback);
 }
 
 /** @return the parse error text for @p spec ("" when it parses). */

@@ -7,15 +7,18 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "controllers/supervisor.h"
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
 #include "fleet/fleet.h"
 
 namespace {
 
+using yukta::controllers::SupervisorMode;
 using yukta::fleet::CheckpointConfig;
 using yukta::fleet::FleetConfig;
 using yukta::fleet::FleetMetrics;
@@ -79,6 +82,26 @@ TEST(FleetAdapt, HotSwapRunsEndToEndAcrossWorkerCounts)
     // not know how many workers ran it.
     EXPECT_EQ(serial.digest(), parallel.digest());
     EXPECT_EQ(serial.adapt.swaps, parallel.adapt.swaps);
+
+    // Supervised: the swap parks the ladder in kHold, and a few clean
+    // ticks later it climbs back to kNominal.
+    FleetConfig cfg = adaptConfig(true, true);
+    cfg.supervised = true;
+    std::vector<std::uint64_t> digests;
+    for (std::size_t workers : {1, 2}) {
+        FleetSim sim(cfg, artifacts);
+        digests.push_back(sim.run(workers).digest());
+        const auto* sup = sim.board(0).system.supervisor();
+        ASSERT_NE(sup, nullptr);
+        EXPECT_EQ(sup->report().invalid_ticks, 0);
+        const auto& events = sup->report().events;
+        ASSERT_EQ(events.size(), 2u);
+        EXPECT_EQ(events[0].from, SupervisorMode::kNominal);
+        EXPECT_EQ(events[0].to, SupervisorMode::kHold);
+        EXPECT_EQ(events[0].reason, "hw controller hot-swap");
+        EXPECT_EQ(events[1].to, SupervisorMode::kNominal);
+    }
+    EXPECT_EQ(digests[0], digests[1]);
 }
 
 // On the plant the shipped model describes, the armed loop must be

@@ -58,10 +58,12 @@ checkpointDir(const std::string& tag)
 // The tentpole property: run-to-T and run-to-T/k + restore +
 // run-to-T yield bit-identical digests, across seeds, worker counts
 // (the baseline and resumed legs deliberately use different counts),
-// fault schedules, and the checkpoint split epoch.
+// fault schedules, the checkpoint split epoch, every scheme, and
+// supervised as well as bare boards.
 TEST(FleetFaults, CrashRestoreDigestIdentityAcrossSeedsAndWorkers)
 {
     const auto artifacts = yukta::fleet::fleetArtifacts();
+    const auto schemes = yukta::core::allSchemes();
     const std::size_t workers[] = {1, 2, 4};
     const std::string fault_spec =
         "board1:crash@1+1.5;board0:hang@2+1;board2:degrade@0.5+2*0.4";
@@ -71,6 +73,11 @@ TEST(FleetFaults, CrashRestoreDigestIdentityAcrossSeedsAndWorkers)
         // healthy, so both regimes cross the checkpoint machinery.
         FleetConfig cfg =
             smallConfig(seed, seed % 2 == 1 ? fault_spec : "");
+        // The scheme cycles with the seed and supervision flips every
+        // full cycle, so each (scheme, supervised) pair saves and
+        // restores its controllers (and ladder) at least once.
+        cfg.scheme = schemes[seed % schemes.size()];
+        cfg.supervised = (seed / schemes.size()) % 2 == 1;
         const std::size_t w_base = workers[seed % 3];
         const std::size_t w_resume = workers[(seed + 1) % 3];
         // Split epoch cycles through [1, 7] of the 8-epoch run.
@@ -96,7 +103,9 @@ TEST(FleetFaults, CrashRestoreDigestIdentityAcrossSeedsAndWorkers)
         }
         EXPECT_EQ(base, resumed)
             << "seed " << seed << " split " << split << " workers "
-            << w_base << "->" << w_resume;
+            << w_base << "->" << w_resume << " scheme "
+            << yukta::core::schemeName(cfg.scheme)
+            << (cfg.supervised ? " supervised" : "");
         std::filesystem::remove_all(dir);
     }
 }

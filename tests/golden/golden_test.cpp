@@ -21,7 +21,7 @@
 namespace yukta::golden {
 namespace {
 
-/** Points the design/run cache at a private directory. */
+/** Points the design cache at a private directory. */
 class CacheDirEnvironment : public ::testing::Environment
 {
   public:

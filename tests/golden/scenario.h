@@ -57,7 +57,6 @@ inline core::Artifacts
 goldenArtifacts()
 {
     core::ArtifactOptions opt;
-    opt.cache_tag = "golden";
     opt.training.apps = {"swaptions", "milc"};
     opt.training.seconds_per_app = 60.0;
     opt.dk.max_iterations = 1;

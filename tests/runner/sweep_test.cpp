@@ -1,25 +1,23 @@
-// Sweep engine: expansion and key determinism, result-cache round
-// trips, corrupted-cache fallback, failure isolation, and the central
-// guarantee -- aggregated metrics are bit-identical no matter how many
-// workers ran the sweep.
+// Sweep engine: expansion, failure isolation, event traces, and the
+// central guarantee -- aggregated metrics are bit-identical no matter
+// how many workers ran the sweep.
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/cache.h"
 #include "obs/trace.h"
 #include "runner/sweep.h"
 
 namespace yukta::runner {
 namespace {
 
-/** Points the cache at a private directory for the whole binary. */
+/** Points the design cache at a private directory for the whole binary. */
 class CacheDirEnvironment : public ::testing::Environment
 {
   public:
@@ -43,7 +41,6 @@ class SweepFixture : public ::testing::Test
     static void SetUpTestSuite()
     {
         core::ArtifactOptions opt;
-        opt.cache_tag = "runnertest";
         opt.training.apps = {"swaptions", "milc"};
         opt.training.seconds_per_app = 60.0;
         opt.dk.max_iterations = 1;
@@ -67,7 +64,6 @@ class SweepFixture : public ::testing::Test
         spec.workloads = {"swaptions", "milc"};
         spec.seeds = {1, 2};
         spec.max_seconds = 240.0;
-        spec.artifact_tag = "runnertest";
         return spec;
     }
 
@@ -94,34 +90,6 @@ TEST(Sweep, ExpandIsTheSchemeMajorCrossProduct)
     EXPECT_EQ(runs[11].workload, "c");
 }
 
-TEST(Sweep, RunKeysAreStableAndSensitiveToEveryAxis)
-{
-    RunSpec base;
-    base.scheme = core::Scheme::kYuktaFull;
-    base.workload = "blackscholes";
-    base.seed = 1;
-
-    const std::string key = runKey(base, "paper");
-    EXPECT_EQ(key, runKey(base, "paper"));
-    EXPECT_EQ(key.size(), 16u);
-
-    std::set<std::string> keys{key};
-    RunSpec other = base;
-    other.scheme = core::Scheme::kDecoupledLqg;
-    keys.insert(runKey(other, "paper"));
-    other = base;
-    other.workload = "gamess";
-    keys.insert(runKey(other, "paper"));
-    other = base;
-    other.seed = 2;
-    keys.insert(runKey(other, "paper"));
-    other = base;
-    other.max_seconds = 600.0;
-    keys.insert(runKey(other, "paper"));
-    keys.insert(runKey(base, "other-artifacts"));
-    EXPECT_EQ(keys.size(), 6u);
-}
-
 TEST(Sweep, SchemeIdsRoundTrip)
 {
     for (core::Scheme s : core::allSchemes()) {
@@ -132,59 +100,14 @@ TEST(Sweep, SchemeIdsRoundTrip)
     EXPECT_FALSE(schemeFromId("nonsense").has_value());
 }
 
-TEST(Sweep, MetricsCacheRoundTripsBitExactly)
-{
-    controllers::RunMetrics m;
-    m.exec_time = 123.456789012345678;
-    m.energy = 1.0 / 3.0;
-    m.exd = m.exec_time * m.energy;
-    m.completed = true;
-    m.emergency_time = 17.25;
-    m.periods = 4242;
-
-    const std::string path = core::cachePath("run-roundtrip");
-    ASSERT_TRUE(saveRunMetrics(path, m));
-    auto loaded = loadRunMetrics(path);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->exec_time, m.exec_time);
-    EXPECT_EQ(loaded->energy, m.energy);
-    EXPECT_EQ(loaded->exd, m.exd);
-    EXPECT_EQ(loaded->completed, m.completed);
-    EXPECT_EQ(loaded->emergency_time, m.emergency_time);
-    EXPECT_EQ(loaded->periods, m.periods);
-}
-
-TEST(Sweep, CorruptedCacheFilesAreMisses)
-{
-    auto write = [](const std::string& name, const std::string& body) {
-        const std::string path = core::cachePath(name);
-        std::ofstream os(path);
-        os << body;
-        return path;
-    };
-
-    EXPECT_FALSE(loadRunMetrics(core::cachePath("run-missing")));
-    EXPECT_FALSE(loadRunMetrics(write("run-empty", "")));
-    EXPECT_FALSE(loadRunMetrics(write("run-garbage", "not a cache\n")));
-    EXPECT_FALSE(
-        loadRunMetrics(write("run-badmagic", "yukta-ss 1\n1 2 3 1 0 5\n")));
-    EXPECT_FALSE(
-        loadRunMetrics(write("run-badversion", "yukta-run 999\n1 2 3\n")));
-    // Truncated mid-record: header fine, fields missing.
-    EXPECT_FALSE(
-        loadRunMetrics(write("run-truncated", "yukta-run 1\n1.5 2.5\n")));
-}
-
 TEST_F(SweepFixture, AggregatedMetricsAreIdenticalAcrossWorkerCounts)
 {
     RunnerOptions serial;
     serial.workers = 1;
-    serial.use_cache = false;
     auto a = runSweep(*artifacts_, smallSweep(), serial);
 
     RunnerOptions parallel;
     parallel.workers = 4;
-    parallel.use_cache = false;
     auto b = runSweep(*artifacts_, smallSweep(), parallel);
 
     ASSERT_EQ(a.records.size(), 8u);
@@ -193,12 +116,9 @@ TEST_F(SweepFixture, AggregatedMetricsAreIdenticalAcrossWorkerCounts)
         const RunRecord& ra = a.records[i];
         const RunRecord& rb = b.records[i];
         EXPECT_EQ(ra.status, TaskOutcome::Status::kOk) << ra.error;
-        EXPECT_EQ(ra.key, rb.key);
         EXPECT_EQ(ra.scheme, rb.scheme);
         EXPECT_EQ(ra.workload, rb.workload);
         EXPECT_EQ(ra.seed, rb.seed);
-        EXPECT_FALSE(ra.cache_hit);
-        EXPECT_FALSE(rb.cache_hit);
         // Bit-identical, not approximately equal.
         EXPECT_EQ(ra.metrics.exec_time, rb.metrics.exec_time);
         EXPECT_EQ(ra.metrics.energy, rb.metrics.energy);
@@ -206,30 +126,6 @@ TEST_F(SweepFixture, AggregatedMetricsAreIdenticalAcrossWorkerCounts)
         EXPECT_EQ(ra.metrics.completed, rb.metrics.completed);
         EXPECT_EQ(ra.metrics.emergency_time, rb.metrics.emergency_time);
         EXPECT_EQ(ra.metrics.periods, rb.metrics.periods);
-    }
-}
-
-TEST_F(SweepFixture, RunCacheHitsReproduceLiveMetrics)
-{
-    SweepSpec spec = smallSweep();
-    spec.schemes = {core::Scheme::kCoordinatedHeuristic};
-    spec.seeds = {1};
-
-    RunnerOptions options;
-    options.workers = 2;
-    options.use_cache = true;
-    auto cold = runSweep(*artifacts_, spec, options);
-    auto warm = runSweep(*artifacts_, spec, options);
-
-    ASSERT_EQ(cold.records.size(), 2u);
-    for (std::size_t i = 0; i < cold.records.size(); ++i) {
-        EXPECT_EQ(cold.records[i].status, TaskOutcome::Status::kOk);
-        EXPECT_TRUE(warm.records[i].cache_hit);
-        EXPECT_EQ(cold.records[i].metrics.exd, warm.records[i].metrics.exd);
-        EXPECT_EQ(cold.records[i].metrics.exec_time,
-                  warm.records[i].metrics.exec_time);
-        EXPECT_EQ(cold.records[i].metrics.energy,
-                  warm.records[i].metrics.energy);
     }
 }
 
@@ -261,7 +157,6 @@ TEST_F(SweepFixture, EventTracesAreBitIdenticalAcrossWorkerCounts)
 
     RunnerOptions serial;
     serial.workers = 1;
-    serial.use_cache = true;  // Must be bypassed: traced runs never cache.
     serial.trace_dir = (base / "serial").string();
     serial.trace_format = "both";
     auto a = runSweep(*artifacts_, spec, serial);
@@ -275,8 +170,6 @@ TEST_F(SweepFixture, EventTracesAreBitIdenticalAcrossWorkerCounts)
     for (std::size_t i = 0; i < a.records.size(); ++i) {
         EXPECT_EQ(a.records[i].status, TaskOutcome::Status::kOk)
             << a.records[i].error;
-        EXPECT_FALSE(a.records[i].cache_hit);
-        EXPECT_FALSE(b.records[i].cache_hit);
         EXPECT_GT(a.records[i].trace_events, 0);
         EXPECT_EQ(a.records[i].trace_events, b.records[i].trace_events);
     }
@@ -327,7 +220,6 @@ TEST_F(SweepFixture, OneBadRunIsIsolatedAndReported)
     spec.workloads = {"swaptions", "no-such-app"};
     spec.seeds = {1};
     spec.max_seconds = 240.0;
-    spec.artifact_tag = "runnertest";
 
     RunnerOptions options;
     options.workers = 2;

@@ -7,9 +7,11 @@ merges them per source file (a line counts as covered when any
 translation unit executed it), and enforces a floor on the aggregate
 line coverage of the audited directories -- by default the controller
 and fault-injection layers, where an untested branch means an
-unverified degradation path, and the system identification layer
-(RLS + drift detection) the online adaptation loop's no-false-swap
-guarantee rests on.
+unverified degradation path; the system identification layer (RLS +
+drift detection) the online adaptation loop's no-false-swap guarantee
+rests on; the design flow and its cache (src/core), whose keys decide
+whether a stored controller may be served; and the sweep engine
+(src/runner).
 
 Usage:
   tools/coverage_check.py --build-dir build-cov [--floor 70]
@@ -25,7 +27,8 @@ import os
 import subprocess
 import sys
 
-DEFAULT_PREFIXES = ("src/controllers", "src/fault", "src/sysid")
+DEFAULT_PREFIXES = ("src/controllers", "src/fault", "src/sysid", "src/core",
+                    "src/runner")
 
 
 def find_gcda(build_dir):

@@ -38,8 +38,8 @@ int main()
         return 1;
     }
 
-    // cache-bypass + atomic-write: writing to the result cache without
-    // the atomic helper tears files under concurrent sweep workers.
+    // cache-bypass + atomic-write: writing to the design cache without
+    // the atomic helper tears files under concurrent writers.
     std::ofstream out(cachePath("k"));
     out << x;
 

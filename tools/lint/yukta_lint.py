@@ -15,10 +15,10 @@ cannot express:
                         deliberate exact comparisons (sentinels,
                         sparsity skips).
   cache-bypass          no direct stream writes to cachePath()/
-                        cacheDir() targets; the flock'd atomicWriteFile
-                        helper is the only way bytes may reach the
-                        result cache (concurrent sweep workers would
-                        otherwise tear files).
+                        cacheDir() targets; the atomicWriteFile helper
+                        is the only way bytes may reach the design
+                        cache (concurrent writers would otherwise tear
+                        files).
   atomic-write          no truncating file writes (ofstream without
                         ios::app, fopen "w") in src/: build the bytes
                         in memory and publish with the tmp+rename
@@ -288,7 +288,7 @@ def check_patterns(ctx, findings):
             findings.append(Finding(
                 ctx.rel, idx, "cache-bypass",
                 "direct write to a cache path; route bytes through "
-                "core::atomicWriteFile so concurrent sweeps never see "
+                "core::atomicWriteFile so concurrent writers never see "
                 "torn files"))
         raw = ctx.raw_lines[idx - 1] if idx <= len(ctx.raw_lines) else ""
         truncating = ATOMIC_OFSTREAM_RE.search(line) or (
