@@ -4,7 +4,8 @@
 #      (always) + clang-tidy / cppcheck when the tools exist on the
 #      runner,
 #   2. tier-1 build + full ctest, the bench smokes, and the
-#      repository benchmark's traced fleet-churn run (perfbench/),
+#      repository benchmark's traced fleet-churn and fleet-adapt-cold
+#      runs (perfbench/),
 #   3. contracts build (-DYUKTA_CHECKS=ON -DYUKTA_WERROR=ON) + full
 #      ctest with every YUKTA_REQUIRE / YUKTA_ENSURE / CHECK_FINITE
 #      active,
@@ -100,19 +101,29 @@ if [[ "$FULL_DIGEST" != "$RESUME_DIGEST" ]]; then
 fi
 echo "crash-resume digests match: $FULL_DIGEST"
 
-echo "=== repository benchmark: fleet-churn, traced replica ==="
 # perfbench/ compiles against names in src/ (FleetBoard fields,
 # stepPeriodBegin, ...), so this is what notices a src/ change that
 # breaks the benchmark. run.py exits 0 even when a check fails, so
 # the gate is the "correct" field of its last (JSON) line.
-BENCH_OUT="$(CARGO_TARGET_DIR=build-bench python3 perfbench/run.py \
-    --workload fleet-churn --trace 1)"
-echo "$BENCH_OUT"
-if ! tail -n 1 <<<"$BENCH_OUT" | python3 -c \
-        'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'; then
-    echo "benchmark smoke FAILED: not every check passed"
-    exit 1
-fi
+traced_benchmark() {
+    local out
+    out="$(CARGO_TARGET_DIR=build-bench python3 perfbench/run.py \
+        --workload "$1" --trace 1)"
+    echo "$out"
+    if ! tail -n 1 <<<"$out" | python3 -c \
+            'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'; then
+        echo "benchmark smoke FAILED ($1): not every check passed"
+        exit 1
+    fi
+}
+
+echo "=== repository benchmark: fleet-churn, traced replica ==="
+traced_benchmark fleet-churn
+
+echo "=== repository benchmark: fleet-adapt-cold, traced replica ==="
+# The only check that compares the staged design flow's bytes with a
+# cold fleetArtifacts() and runs an online D-K re-synthesis end to end.
+traced_benchmark fleet-adapt-cold
 
 # The generic analyzers read build/compile_commands.json (exported by
 # default), so they run after the configure step. Both are gated on

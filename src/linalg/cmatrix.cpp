@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/contracts.h"
-
 namespace yukta::linalg {
 
 CMatrix::CMatrix(std::size_t rows, std::size_t cols, Complex fill)
@@ -54,22 +52,6 @@ CMatrix::diag(const std::vector<double>& d)
         m(i, i) = Complex(d[i], 0.0);
     }
     return m;
-}
-
-Complex&
-CMatrix::operator()(std::size_t r, std::size_t c)
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
-}
-
-Complex
-CMatrix::operator()(std::size_t r, std::size_t c) const
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
 }
 
 CMatrix&

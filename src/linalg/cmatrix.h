@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <vector>
 
+#include "core/contracts.h"
 #include "linalg/matrix.h"
 
 namespace yukta::linalg {
@@ -45,8 +46,24 @@ class CMatrix
     bool empty() const { return rows_ == 0 || cols_ == 0; }
     bool isSquare() const { return rows_ == cols_; }
 
-    Complex& operator()(std::size_t r, std::size_t c);
-    Complex operator()(std::size_t r, std::size_t c) const;
+    /**
+     * Element access. Bounds-checked under YUKTA_CHECKS: out-of-range
+     * access throws a ContractViolation naming the shape, e.g.
+     * `CMatrix(4x3) index (5,1)`.
+     */
+    Complex& operator()(std::size_t r, std::size_t c)
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
+
+    Complex operator()(std::size_t r, std::size_t c) const
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
 
     /** @return pointer to the contiguous row-major storage. */
     Complex* data() { return data_.data(); }

@@ -8,8 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/contracts.h"
-
 namespace yukta::linalg {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
@@ -60,22 +58,6 @@ Matrix::diag(const std::vector<double>& d)
         m(i, i) = d[i];
     }
     return m;
-}
-
-double&
-Matrix::operator()(std::size_t r, std::size_t c)
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
 }
 
 Matrix&

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "core/contracts.h"
+
 namespace yukta::linalg {
 
 class Vector;
@@ -65,8 +67,19 @@ class Matrix
      * access throws a ContractViolation naming the shape, e.g.
      * `Matrix(4x3) index (5,1)`.
      */
-    double& operator()(std::size_t r, std::size_t c);
-    double operator()(std::size_t r, std::size_t c) const;
+    double& operator()(std::size_t r, std::size_t c)
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
+
+    double operator()(std::size_t r, std::size_t c) const
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
 
     /** @return pointer to the contiguous row-major storage. */
     double* data() { return data_.data(); }

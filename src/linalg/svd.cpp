@@ -12,17 +12,17 @@ namespace yukta::linalg {
 namespace {
 
 /**
- * One-sided Jacobi SVD on a matrix with rows >= cols. Columns of the
- * working copy are rotated until pairwise orthogonal; the rotations
- * are accumulated into V.
+ * One-sided Jacobi sweeps on @p w (rows >= cols): columns are rotated
+ * until pairwise orthogonal. When @p v_acc is non-null every rotation
+ * is also applied to it. The rotations are computed from @p w alone,
+ * so the sequence applied to @p w does not depend on whether V is
+ * accumulated.
  */
-CSvd
-jacobiSvdTall(const CMatrix& a)
+void
+jacobiSweep(CMatrix& w, CMatrix* v_acc)
 {
-    std::size_t m = a.rows();
-    std::size_t n = a.cols();
-    CMatrix w = a;
-    CMatrix v = CMatrix::identity(n);
+    std::size_t m = w.rows();
+    std::size_t n = w.cols();
 
     const int max_sweeps = 60;
     const double tol = 1e-14;
@@ -63,6 +63,10 @@ jacobiSvdTall(const CMatrix& a)
                     w(i, p) = c * wp - sp * wq;
                     w(i, q) = sq * wp + c * wq;
                 }
+                if (v_acc == nullptr) {
+                    continue;
+                }
+                CMatrix& v = *v_acc;
                 for (std::size_t i = 0; i < n; ++i) {
                     Complex vp = v(i, p);
                     Complex vq = v(i, q);
@@ -75,22 +79,44 @@ jacobiSvdTall(const CMatrix& a)
             break;
         }
     }
+}
 
-    // Singular values = column norms; U = normalized columns.
+/** @return the Euclidean norm of each column of @p w. */
+std::vector<double>
+columnNorms(const CMatrix& w)
+{
+    std::vector<double> norms(w.cols());
+    for (std::size_t j = 0; j < w.cols(); ++j) {
+        double nn = 0.0;
+        for (std::size_t i = 0; i < w.rows(); ++i) {
+            nn += std::norm(w(i, j));
+        }
+        norms[j] = std::sqrt(nn);
+    }
+    return norms;
+}
+
+/**
+ * Thin SVD of a matrix with rows >= cols: the Jacobi sweep with V
+ * accumulated, then singular values = column norms and U = the
+ * normalized columns, sorted by descending norm.
+ */
+CSvd
+jacobiSvdTall(const CMatrix& a)
+{
+    std::size_t m = a.rows();
+    std::size_t n = a.cols();
+    CMatrix w = a;
+    CMatrix v = CMatrix::identity(n);
+    jacobiSweep(w, &v);
+
     CSvd out;
     out.s.resize(n);
     out.u = CMatrix(m, n);
     out.v = CMatrix(n, n);
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::vector<double> norms(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        double nn = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-            nn += std::norm(w(i, j));
-        }
-        norms[j] = std::sqrt(nn);
-    }
+    std::vector<double> norms = columnNorms(w);
     std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
         return norms[i] > norms[j];
     });
@@ -147,8 +173,14 @@ sigmaMax(const CMatrix& a)
     if (a.empty()) {
         return 0.0;
     }
-    CSvd d = svd(a);
-    return d.s.empty() ? 0.0 : d.s.front();
+    YUKTA_CHECK_FINITE(a, "sigmaMax: non-finite ", a.rows(), "x", a.cols(),
+                       " input");
+    // svd()'s sweep without accumulating V: sigma_max is the largest
+    // column norm of the rotated matrix, the value svd() sorts first.
+    CMatrix w = a.rows() >= a.cols() ? a : a.adjoint();
+    jacobiSweep(w, nullptr);
+    std::vector<double> norms = columnNorms(w);
+    return *std::max_element(norms.begin(), norms.end());
 }
 
 double

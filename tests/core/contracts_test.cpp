@@ -14,8 +14,10 @@
 
 #include "controllers/ssv_runtime.h"
 #include "core/contracts.h"
+#include "linalg/cmatrix.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
+#include "linalg/svd.h"
 #include "linalg/vector.h"
 
 namespace yukta {
@@ -118,6 +120,41 @@ TEST(ContractsOn, MatrixIndexNamesShape)
     }
     const linalg::Matrix& cm = m;
     EXPECT_THROW((void)cm(0, 3), contracts::ContractViolation);
+}
+
+TEST(ContractsOn, CMatrixIndexNamesShapeThroughBothOverloads)
+{
+    linalg::CMatrix m(4, 3);
+    const linalg::CMatrix& cm = m;
+    const auto expect_names = [](const auto& access, const char* shape) {
+        try {
+            (void)access();
+            FAIL() << "out-of-range access did not throw: " << shape;
+        } catch (const contracts::ContractViolation& e) {
+            EXPECT_STREQ(e.kind(), "precondition");
+            EXPECT_NE(std::string(e.what()).find(shape), std::string::npos)
+                << e.what();
+        }
+    };
+    expect_names([&m]() -> linalg::Complex& { return m(5, 1); },
+                 "CMatrix(4x3) index (5,1)");
+    expect_names([&cm]() { return cm(0, 3); }, "CMatrix(4x3) index (0,3)");
+}
+
+TEST(ContractsOn, SigmaMaxRejectsNonFiniteInput)
+{
+    // The values-only path keeps svd()'s finite-check; a wide input
+    // takes the adjoint branch.
+    linalg::CMatrix a(2, 3, linalg::Complex(1.0, 0.0));
+    a(1, 2) = linalg::Complex(0.0, kNan);
+    try {
+        (void)linalg::sigmaMax(a);
+        FAIL() << "sigmaMax accepted a NaN matrix";
+    } catch (const contracts::ContractViolation& e) {
+        EXPECT_STREQ(e.kind(), "finite-check");
+    }
+    EXPECT_THROW((void)linalg::sigmaMax(linalg::Matrix{{1.0}, {kNan}}),
+                 contracts::ContractViolation);
 }
 
 TEST(ContractsOn, MatrixProductMismatchThrows)

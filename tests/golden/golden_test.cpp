@@ -6,12 +6,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/cache.h"
 #include "golden/scenario.h"
+#include "obs/rollup.h"
 #include "obs/trace_diff.h"
 
 #ifndef YUKTA_GOLDEN_DIR
@@ -134,6 +138,36 @@ TEST_F(GoldenFixture, CommittedTracesParseAndCarryBothLayers)
         EXPECT_TRUE(saw_cmd) << scheme;
         EXPECT_TRUE(saw_plant) << scheme;
     }
+}
+
+TEST_F(GoldenFixture, RecipeDesignEntriesAreByteStable)
+{
+    // The traces pin the synthesized K, not the mu certificate stored
+    // next to it, so pin the FNV-1a of every design-cache entry the
+    // recipe wrote: entry name -> hash of the entry's bytes.
+    const std::map<std::string, std::string> expected = {
+        {"lqg-0bd7b0435deaca76", "9a33f977531ff417"},
+        {"lqg-90aabfe96c4fec39", "3261c33770efe4ee"},
+        {"lqg-fa7fa0f5b2a99b6c", "ea1df7cfc859567e"},
+        {"ssv-7bf86c86485de446", "f9852b37c0ad37d2"},
+        {"ssv-eb11e78c357b4530", "16103048770c2b0a"},
+    };
+    std::map<std::string, std::string> entries;
+    for (const auto& f :
+         // yukta-audit: allow(dir-iter) keyed by name in a std::map
+         std::filesystem::directory_iterator(core::cacheDir())) {
+        if (f.path().extension() != ".txt") {
+            continue;
+        }
+        std::ifstream is(f.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << is.rdbuf();
+        std::ostringstream hash;
+        hash << std::hex << std::setw(16) << std::setfill('0')
+             << obs::fnv1a(bytes.str());
+        entries[f.path().stem().string()] = hash.str();
+    }
+    EXPECT_EQ(entries, expected);
 }
 
 TEST_F(GoldenFixture, TinyGainPerturbationIsCaughtWithFirstTick)

@@ -97,6 +97,69 @@ TEST(Svd, UnitaryInvarianceOfSigmaMax)
     EXPECT_NEAR(sigmaMax(u * a), sigmaMax(a), 1e-9);
 }
 
+// sigmaMax runs svd()'s rotation sequence without accumulating V, so
+// it must return svd()'s largest singular value bit for bit, not just
+// a close one. Wide inputs take the adjoint in both.
+TEST(Svd, SigmaMaxIsBitwiseSvdFrontForEveryShape)
+{
+    const std::size_t shapes[][2] = {{7, 4}, {3, 8}, {5, 5}, {1, 6},
+                                     {6, 1}, {1, 1}, {12, 12}};
+    unsigned seed = 4100;
+    for (const auto& shape : shapes) {
+        const std::size_t r = shape[0];
+        const std::size_t c = shape[1];
+        CMatrix ca = test::randomCMatrix(r, c, ++seed);
+        EXPECT_EQ(sigmaMax(ca), svd(ca).s.front())
+            << "complex " << r << "x" << c;
+        Matrix ra = test::randomMatrix(r, c, ++seed);
+        EXPECT_EQ(sigmaMax(ra), svd(ra).s.front())
+            << "real " << r << "x" << c;
+    }
+}
+
+TEST(Svd, SigmaMaxIsBitwiseSvdFrontWhenRankDeficient)
+{
+    // Column 3 repeats column 1, so one singular value is (near) zero.
+    CMatrix ca = test::randomCMatrix(6, 4, 4200);
+    Matrix ra = test::randomMatrix(6, 4, 4201);
+    for (std::size_t i = 0; i < 6; ++i) {
+        ca(i, 3) = ca(i, 1);
+        ra(i, 3) = ra(i, 1);
+    }
+    EXPECT_EQ(sigmaMax(ca), svd(ca).s.front());
+    EXPECT_EQ(sigmaMax(ra), svd(ra).s.front());
+    EXPECT_EQ(sigmaMax(ca.adjoint()), svd(ca.adjoint()).s.front());
+    EXPECT_EQ(sigmaMax(ra.transpose()), svd(ra.transpose()).s.front());
+}
+
+TEST(Svd, SigmaMaxIsBitwiseSvdFrontForEqualSingularValues)
+{
+    // 2.5 x the unitary DFT matrix and 2.5 x a Householder reflector:
+    // every singular value is 2.5, so svd()'s sort sees only ties.
+    const std::size_t n = 5;
+    const double pi = std::acos(-1.0);
+    CMatrix dft(n, n);
+    Matrix u = test::randomMatrix(n, 1, 4300);
+    Matrix householder = Matrix::identity(n);
+    const double uu = (u.transpose() * u)(0, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t k = 0; k < n; ++k) {
+            const double th = -2.0 * pi * static_cast<double>(j * k) /
+                              static_cast<double>(n);
+            dft(j, k) = Complex(std::cos(th), std::sin(th)) *
+                        (2.5 / std::sqrt(static_cast<double>(n)));
+            householder(j, k) = 2.5 * (householder(j, k) -
+                                       2.0 * u(j, 0) * u(k, 0) / uu);
+        }
+    }
+    EXPECT_NEAR(sigmaMax(dft), 2.5, 1e-12);
+    EXPECT_NEAR(sigmaMax(householder), 2.5, 1e-12);
+    EXPECT_EQ(sigmaMax(dft), svd(dft).s.front());
+    EXPECT_EQ(sigmaMax(householder), svd(householder).s.front());
+    CMatrix wide = dft.block(0, 0, 3, n);
+    EXPECT_EQ(sigmaMax(wide), svd(wide).s.front());
+}
+
 TEST(Pinv, LeftInverseOfFullColumnRank)
 {
     Matrix a = test::randomMatrix(7, 3, 39);
