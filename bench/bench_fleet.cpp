@@ -7,19 +7,27 @@
  * (board-ticks/sec), admission outcomes, fleet E x D, and tail
  * latency.
  *
+ * A scaling leg (skipped under --quick) reruns flat overload with
+ * admission on at 100 and 1000 boards on the pool, and reports
+ * board-ticks/sec as the best of 3 runs with their min and max.
+ *
  * Correctness-gated, so CI can run it as a smoke stage:
  *  - un-overloaded scenarios must be bit-identical with admission on
  *    and off (admission that never rejects must be a no-op),
  *  - every overloaded scenario must show admission *strictly*
  *    reducing SLO-violation time,
- *  - the flagship run must be bit-identical for 1 vs N pool workers.
+ *  - the flagship run must be bit-identical for 1 vs N pool workers,
+ *  - the repeats of each scaling row must be bit-identical.
  *
  * Usage: bench_fleet [--quick] [--out PATH]
  */
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +59,19 @@ struct ScenarioResult
     FleetMetrics on;
     FleetMetrics off;
 };
+
+/** One scaling row: board-ticks/sec over its repeats. */
+struct ScalingRow
+{
+    int boards = 0;
+    double ticks_min = std::numeric_limits<double>::infinity();
+    double ticks_max = 0.0;  ///< The best run.
+    double wall_best = std::numeric_limits<double>::infinity();
+    std::uint64_t digest = 0;
+};
+
+/** Repeats per scaling row; the row reports the best. */
+constexpr int kScalingRepeats = 3;
 
 FleetConfig
 makeConfig(const Scenario& s, bool admission_on, int boards,
@@ -222,6 +243,41 @@ main(int argc, char** argv)
         ok = false;
     }
 
+    // Scaling: flat overload, admission on, at fleet sizes where the
+    // plant dominates the wall.
+    std::vector<ScalingRow> scaling;
+    if (!quick) {
+        std::printf("scaling (flat-overload, admission on, %zu workers, "
+                    "best of %d):\n",
+                    workers, kScalingRepeats);
+        for (int n : {100, 1000}) {
+            ScalingRow row;
+            row.boards = n;
+            for (int rep = 0; rep < kScalingRepeats; ++rep) {
+                FleetSim sim(makeConfig(scenarios[1], true, n, sim_seconds),
+                             artifacts);
+                const FleetMetrics m = sim.run(workers);
+                if (rep > 0 && m.digest() != row.digest) {
+                    std::fprintf(stderr,
+                                 "FAIL: %d-board scaling repeat is not "
+                                 "bit-identical\n",
+                                 n);
+                    ok = false;
+                }
+                row.digest = m.digest();
+                row.ticks_min = std::min(row.ticks_min, m.board_ticks_per_sec);
+                row.ticks_max = std::max(row.ticks_max, m.board_ticks_per_sec);
+                row.wall_best = std::min(row.wall_best, m.wall_seconds);
+            }
+            std::printf("  %4d boards  %7.0f board-ticks/s best (min %.0f, "
+                        "max %.0f)  wall %.2f s  digest %016llx\n",
+                        n, row.ticks_max, row.ticks_min, row.ticks_max,
+                        row.wall_best,
+                        static_cast<unsigned long long>(row.digest));
+            scaling.push_back(row);
+        }
+    }
+
     std::ofstream json(out_path);
     json << "{\n  \"bench\": \"fleet\",\n  \"boards\": " << boards
          << ",\n  \"sim_seconds\": " << sim_seconds
@@ -240,7 +296,26 @@ main(int argc, char** argv)
          << parallel.digest() << std::dec
          << "\", \"identical\": "
          << (serial.digest() == parallel.digest() ? "true" : "false")
-         << "}\n}\n";
+         << "}";
+    if (!scaling.empty()) {
+        json << ",\n  \"scaling\": {\"scenario\": \"flat-overload\", "
+                "\"admission\": true, \"sim_seconds\": "
+             << sim_seconds << ", \"workers\": " << workers
+             << ", \"repeats\": " << kScalingRepeats
+             << ", \"timing\": \"best-of-repeats\", \"rows\": [\n";
+        for (std::size_t i = 0; i < scaling.size(); ++i) {
+            const ScalingRow& row = scaling[i];
+            json << "    {\"boards\": " << row.boards
+                 << ", \"board_ticks_per_sec\": {\"best\": "
+                 << row.ticks_max << ", \"min\": " << row.ticks_min
+                 << ", \"max\": " << row.ticks_max
+                 << "}, \"wall_seconds_best\": " << row.wall_best
+                 << ", \"digest\": \"" << std::hex << row.digest << std::dec
+                 << "\"}" << (i + 1 < scaling.size() ? "," : "") << "\n";
+        }
+        json << "  ]}";
+    }
+    json << "\n}\n";
     std::cout << "wrote " << out_path << "\n";
     return ok ? 0 : 1;
 }

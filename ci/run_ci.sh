@@ -13,8 +13,8 @@
 #      whole suite under ASan/UBSan with YUKTA_CI_ASAN=1),
 #   5. optionally (YUKTA_CI_COVERAGE=1, the GitHub coverage job sets
 #      it), a -DYUKTA_COVERAGE=ON build + ctest and the gcov
-#      line-coverage floor on src/controllers, fault, sysid, core and
-#      runner.
+#      line-coverage floor on src/controllers, fault, sysid, core,
+#      runner and platform.
 #
 # Usage: ci/run_ci.sh [jobs]
 set -euo pipefail

@@ -138,6 +138,49 @@ Board::refreshPlacement(bool force)
     std::size_t threads = workload_.numRunnableThreads();
     placement_ = placeThreads(policy_, threads, applied_.big_cores,
                               applied_.little_cores);
+    rebuildStepTable();
+}
+
+void
+Board::rebuildStepTable()
+{
+    auto clusterUtil = [](const std::vector<std::size_t>& per_core) {
+        if (per_core.empty()) {
+            return 0.0;
+        }
+        double u = 0.0;
+        for (std::size_t n : per_core) {
+            u += n > 0 ? 1.0 : 0.05;  // idle-but-on cores sip power
+        }
+        return u / static_cast<double>(per_core.size());
+    };
+    step_big_.util = clusterUtil(placement_.big_core_threads);
+    step_big_.op = power_big_.operatingPoint(applied_.freq_big);
+    step_little_.util = clusterUtil(placement_.little_core_threads);
+    step_little_.op = power_little_.operatingPoint(applied_.freq_little);
+
+    // Natural (unstalled) execution rate per thread from its core
+    // assignment.
+    std::size_t nmap = std::min(workload_.numRunnableThreads(),
+                                placement_.thread_cluster.size());
+    step_threads_.resize(nmap);
+    for (std::size_t t = 0; t < nmap; ++t) {
+        ClusterId c = placement_.thread_cluster[t];
+        std::size_t core = placement_.thread_core[t];
+        std::size_t sharers =
+            c == ClusterId::kBig
+                ? placement_.big_core_threads[core]
+                : placement_.little_core_threads[core];
+        double f = c == ClusterId::kBig ? applied_.freq_big
+                                        : applied_.freq_little;
+        ThreadInfo info = workload_.threadInfo(t);
+        StepThread& st = step_threads_[t];
+        st.cluster = c;
+        st.rate = threadRate(info, c, f, sharers);
+        st.coupling = info.barrier_coupling;
+        st.activity = info.activity;
+        st.instance = std::min<std::size_t>(info.instance, 15);
+    }
 }
 
 double
@@ -175,36 +218,20 @@ Board::stepOnce()
     refreshPlacement(false);
 
     // --- Execute threads for dt. ---
-    std::size_t threads = workload_.numRunnableThreads();
+    std::size_t threads = step_threads_.size();
     double stall_factor = migration_stall_left_ > 0.0 ? 0.2 : 1.0;
     migration_stall_left_ = std::max(0.0, migration_stall_left_ - dt);
 
-    // Pass 1: natural execution rate per thread from its core
-    // assignment.
-    std::size_t nmap = std::min(threads, placement_.thread_cluster.size());
-    rate_scratch_.assign(nmap, 0.0);
-    info_scratch_.clear();
+    // Pass 1: the slowest barrier-coupled thread of each instance.
     double min_rate_per_instance[16];
     for (int i = 0; i < 16; ++i) {
         min_rate_per_instance[i] = 1e300;
     }
-    for (std::size_t t = 0; t < nmap; ++t) {
-        ClusterId c = placement_.thread_cluster[t];
-        std::size_t core = placement_.thread_core[t];
-        std::size_t sharers =
-            c == ClusterId::kBig
-                ? placement_.big_core_threads[core]
-                : placement_.little_core_threads[core];
-        double f = c == ClusterId::kBig ? applied_.freq_big
-                                        : applied_.freq_little;
-        ThreadInfo info = workload_.threadInfo(t);
-        double rate = threadRate(info, c, f, sharers) * stall_factor;
-        rate_scratch_[t] = rate;
-        info_scratch_.push_back(info);
-        std::size_t inst = info.instance < 16 ? info.instance : 15;
-        if (info.barrier_coupling > 0.0) {
-            min_rate_per_instance[inst] =
-                std::min(min_rate_per_instance[inst], rate);
+    for (std::size_t t = 0; t < threads; ++t) {
+        const StepThread& st = step_threads_[t];
+        if (st.coupling > 0.0) {
+            min_rate_per_instance[st.instance] = std::min(
+                min_rate_per_instance[st.instance], st.rate * stall_factor);
         }
     }
 
@@ -212,19 +239,17 @@ Board::stepOnce()
     // their slowest sibling, then retire the work.
     double instr_big = 0.0;
     double instr_little = 0.0;
-    for (std::size_t t = 0; t < nmap; ++t) {
-        const ThreadInfo& info = info_scratch_[t];
-        double rate = rate_scratch_[t];
-        if (info.barrier_coupling > 0.0) {
-            std::size_t inst = info.instance < 16 ? info.instance : 15;
-            double slowest = min_rate_per_instance[inst];
+    for (std::size_t t = 0; t < threads; ++t) {
+        const StepThread& st = step_threads_[t];
+        double rate = st.rate * stall_factor;
+        if (st.coupling > 0.0) {
+            double slowest = min_rate_per_instance[st.instance];
             if (slowest < rate) {
-                rate = (1.0 - info.barrier_coupling) * rate +
-                       info.barrier_coupling * slowest;
+                rate = (1.0 - st.coupling) * rate + st.coupling * slowest;
             }
         }
         double work = rate * dt;  // giga-instructions this step
-        if (placement_.thread_cluster[t] == ClusterId::kBig) {
+        if (st.cluster == ClusterId::kBig) {
             instr_big += work;
         } else {
             instr_little += work;
@@ -240,25 +265,16 @@ Board::stepOnce()
     counters_.instr_little += instr_little;
 
     // --- Power. ---
-    auto clusterUtil = [](const std::vector<std::size_t>& per_core) {
-        if (per_core.empty()) {
-            return 0.0;
-        }
-        double u = 0.0;
-        for (std::size_t n : per_core) {
-            u += n > 0 ? 1.0 : 0.05;  // idle-but-on cores sip power
-        }
-        return u / static_cast<double>(per_core.size());
-    };
+    // Activity averages over the first `threads` table entries. After
+    // a mid-step refresh those are entries of the new table, which
+    // may hold more or fewer threads (DESIGN.md §6).
+    std::size_t averaged = std::min(threads, step_threads_.size());
     auto clusterActivity = [&](ClusterId c) {
-        // Average workload activity over threads on the cluster.
         double sum = 0.0;
         std::size_t n = 0;
-        for (std::size_t t = 0; t < threads &&
-                                t < placement_.thread_cluster.size();
-             ++t) {
-            if (placement_.thread_cluster[t] == c) {
-                sum += workload_.threadInfo(t).activity;
+        for (std::size_t t = 0; t < averaged; ++t) {
+            if (step_threads_[t].cluster == c) {
+                sum += step_threads_[t].activity;
                 ++n;
             }
         }
@@ -268,19 +284,19 @@ Board::stepOnce()
     ClusterActivity act_big;
     act_big.cores_on = applied_.big_cores;
     act_big.freq = applied_.freq_big;
-    act_big.avg_utilization = clusterUtil(placement_.big_core_threads);
+    act_big.avg_utilization = step_big_.util;
     act_big.activity = clusterActivity(ClusterId::kBig);
 
     ClusterActivity act_little;
     act_little.cores_on = applied_.little_cores;
     act_little.freq = applied_.freq_little;
-    act_little.avg_utilization =
-        clusterUtil(placement_.little_core_threads);
+    act_little.avg_utilization = step_little_.util;
     act_little.activity = clusterActivity(ClusterId::kLittle);
 
     double temp = thermal_.hotspot();
-    true_p_big_ = power_big_.clusterPower(act_big, temp);
-    true_p_little_ = power_little_.clusterPower(act_little, temp);
+    true_p_big_ = power_big_.clusterPower(act_big, step_big_.op, temp);
+    true_p_little_ =
+        power_little_.clusterPower(act_little, step_little_.op, temp);
     if (drift_active_) {
         // Plant drift: the silicon draws more (or less) than the
         // nominal model for the same operating point. Applied before
@@ -471,6 +487,7 @@ Board::load(obs::StateReader& r)
     counters_.instr_little = r.f64("board.instr_little");
     drift_active_ = r.boolean("board.drift_active");
     drift_scale_ = r.f64("board.drift_scale");
+    rebuildStepTable();
 }
 
 }  // namespace yukta::platform

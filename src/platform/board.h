@@ -256,8 +256,28 @@ class Board
     std::size_t rejected_inputs_ = 0;
     PerfCounters counters_;
 
-    std::vector<double> rate_scratch_;       ///< Reused per step.
-    std::vector<ThreadInfo> info_scratch_;   ///< Reused per step.
+    /**
+     * The step table: everything stepOnce needs that depends only on
+     * the placement, the applied inputs (TMU caps included) and the
+     * runnable set. Derived state, rebuilt by rebuildStepTable from
+     * refreshPlacement's rebuilding branch and from load().
+     */
+    struct StepThread
+    {
+        ClusterId cluster = ClusterId::kBig;
+        double rate = 0.0;      ///< Unstalled rate, giga-instr/s.
+        double coupling = 0.0;  ///< Barrier coupling, [0, 1].
+        double activity = 1.0;  ///< Switching activity.
+        std::size_t instance = 0;  ///< Owning instance, capped at 15.
+    };
+    struct StepCluster
+    {
+        double util = 0.0;  ///< Mean busy fraction of powered cores.
+        OperatingPoint op;  ///< Applied frequency and its voltage.
+    };
+    std::vector<StepThread> step_threads_;
+    StepCluster step_big_;
+    StepCluster step_little_;
 
     double trace_interval_ = 0.0;
     double trace_timer_ = 0.0;
@@ -267,6 +287,7 @@ class Board
     void stepOnce();
     void refreshApplied();
     void refreshPlacement(bool force);
+    void rebuildStepTable();
 };
 
 }  // namespace yukta::platform

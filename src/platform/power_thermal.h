@@ -12,6 +12,8 @@
  * network (silicon hot spot over heatsink over ambient).
  */
 
+#include <limits>
+
 #include "obs/stateio.h"
 #include "platform/config.h"
 #include "platform/dvfs.h"
@@ -27,6 +29,13 @@ struct ClusterActivity
     double activity = 1.0;        ///< Workload switching factor (~0.7-1.2).
 };
 
+/** A DVFS operating point: a grid frequency and its voltage. */
+struct OperatingPoint
+{
+    double freq = 0.2;  ///< GHz, on the DVFS grid.
+    double volt = 0.0;  ///< V at @ref freq.
+};
+
 /** Computes cluster power (W). */
 class PowerModel
 {
@@ -34,18 +43,33 @@ class PowerModel
     /** Builds the model for one cluster and its DVFS table. */
     PowerModel(const ClusterConfig& cfg, const DvfsTable& dvfs);
 
+    /** @return the operating point @p freq quantizes to. */
+    OperatingPoint operatingPoint(double freq) const;
+
     /**
-     * @param act current activity.
+     * @param act current activity; its freq is ignored in favour of
+     *   @p op.
+     * @param op operating point, operatingPoint(act.freq). The board
+     *   computes it once per applied frequency, not per step.
      * @param temp current silicon temperature (C).
      * @return total cluster power in watts.
      */
-    double clusterPower(const ClusterActivity& act, double temp) const;
+    double clusterPower(const ClusterActivity& act, const OperatingPoint& op,
+                        double temp) const;
 
-    /** Dynamic-only component (for diagnostics). */
-    double dynamicPower(const ClusterActivity& act) const;
+    /** @return clusterPower at operatingPoint(act.freq). */
+    double clusterPower(const ClusterActivity& act, double temp) const
+    {
+        return clusterPower(act, operatingPoint(act.freq), temp);
+    }
 
-    /** Leakage component at temperature @p temp. */
-    double leakagePower(const ClusterActivity& act, double temp) const;
+    /** Dynamic-only component at @p op (for diagnostics). */
+    double dynamicPower(const ClusterActivity& act,
+                        const OperatingPoint& op) const;
+
+    /** Leakage component at @p op and temperature @p temp. */
+    double leakagePower(const ClusterActivity& act, const OperatingPoint& op,
+                        double temp) const;
 
   private:
     ClusterConfig cfg_;
@@ -96,6 +120,12 @@ class ThermalModel
     ThermalConfig cfg_;
     double t_silicon_;
     double t_heatsink_;
+
+    /// 1 - exp(-dt/tau) per node for the last step's dt: the board
+    /// steps at a fixed dt, so the exp() calls run once.
+    double coef_dt_ = std::numeric_limits<double>::quiet_NaN();
+    double a_silicon_ = 0.0;
+    double a_heatsink_ = 0.0;
 };
 
 }  // namespace yukta::platform

@@ -30,6 +30,7 @@ Workload::Workload(std::vector<AppModel> apps)
     for (Instance& inst : instances_) {
         startPhase(inst);
     }
+    rebuildRunnable();
 }
 
 Workload::Workload(AppModel app) : Workload(std::vector<AppModel>{std::move(app)})
@@ -81,36 +82,27 @@ Workload::maybeAdvancePhase(Instance& inst)
     }
 }
 
-std::size_t
-Workload::numRunnableThreads() const
+void
+Workload::rebuildRunnable()
 {
-    std::size_t n = 0;
-    for (const Instance& inst : instances_) {
-        for (const ThreadState& t : inst.threads) {
-            if (t.remaining > 0.0) {
-                ++n;
+    runnable_.clear();
+    for (std::size_t ii = 0; ii < instances_.size(); ++ii) {
+        const Instance& inst = instances_[ii];
+        for (std::size_t ti = 0; ti < inst.threads.size(); ++ti) {
+            if (inst.threads[ti].remaining > 0.0) {
+                runnable_.emplace_back(ii, ti);
             }
         }
     }
-    return n;
 }
 
 std::pair<std::size_t, std::size_t>
 Workload::locate(std::size_t i) const
 {
-    std::size_t idx = 0;
-    for (std::size_t ii = 0; ii < instances_.size(); ++ii) {
-        const Instance& inst = instances_[ii];
-        for (std::size_t ti = 0; ti < inst.threads.size(); ++ti) {
-            if (inst.threads[ti].remaining > 0.0) {
-                if (idx == i) {
-                    return {ii, ti};
-                }
-                ++idx;
-            }
-        }
+    if (i >= runnable_.size()) {
+        throw std::out_of_range("Workload: bad runnable thread index");
     }
-    throw std::out_of_range("Workload: bad runnable thread index");
+    return runnable_[i];
 }
 
 ThreadInfo
@@ -145,6 +137,7 @@ Workload::retire(std::size_t i, double giga_instr)
         t.at_barrier = true;
         ++version_;  // runnable set changed
         maybeAdvancePhase(inst);
+        rebuildRunnable();
     }
 }
 
@@ -232,6 +225,7 @@ Workload::load(obs::StateReader& r)
         }
     }
     version_ = r.u64("workload.version");
+    rebuildRunnable();
 }
 
 }  // namespace yukta::platform

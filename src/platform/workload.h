@@ -78,7 +78,7 @@ class Workload
     explicit Workload(AppModel app);
 
     /** @return number of currently runnable threads (not finished). */
-    std::size_t numRunnableThreads() const;
+    std::size_t numRunnableThreads() const { return runnable_.size(); }
 
     /** @return attributes of runnable thread @p i (dense indexing). */
     ThreadInfo threadInfo(std::size_t i) const;
@@ -139,8 +139,16 @@ class Workload
     std::vector<Instance> instances_;
     std::size_t version_ = 0;
 
+    /**
+     * (instance, thread) of each runnable thread, in dense index
+     * order. Derived state: rebuilt wherever the runnable set
+     * changes (construction, a thread completing, load).
+     */
+    std::vector<std::pair<std::size_t, std::size_t>> runnable_;
+
     void startPhase(Instance& inst);
     void maybeAdvancePhase(Instance& inst);
+    void rebuildRunnable();
 
     /** Maps dense runnable index to (instance, thread). */
     std::pair<std::size_t, std::size_t> locate(std::size_t i) const;

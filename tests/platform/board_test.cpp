@@ -1,9 +1,15 @@
 #include "platform/board.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/rollup.h"
 #include "platform/apps.h"
 
 namespace yukta::platform {
@@ -13,6 +19,58 @@ Board
 makeBoard(const std::string& app = "blackscholes")
 {
     return Board(BoardConfig::odroidXu3(), Workload(AppCatalog::get(app)), 3);
+}
+
+/** The mixes whose plant bits the tests below pin. */
+const std::vector<std::vector<std::string>> kPinnedMixes = {
+    {"x264"}, {"streamcluster"}, {"bodytrack", "canneal"}, {"milc", "x264"}};
+
+Board
+makeMixBoard(const std::vector<std::string>& names)
+{
+    std::vector<AppModel> apps;
+    for (const std::string& n : names) {
+        apps.push_back(AppCatalog::get(n));
+    }
+    return Board(BoardConfig::odroidXu3(), Workload(std::move(apps)), 7);
+}
+
+/**
+ * Applies period @p k's inputs: a schedule that sweeps core counts,
+ * both frequency grids and the placement knobs, so the step table is
+ * rebuilt under many (placement, inputs, runnable set) combinations.
+ */
+void
+applyPeriodInputs(Board& b, int k)
+{
+    HardwareInputs in;
+    in.big_cores = static_cast<std::size_t>(1 + k % 4);
+    in.little_cores = static_cast<std::size_t>(1 + (k / 2) % 4);
+    in.freq_big = 0.6 + 0.1 * (k % 15);
+    in.freq_little = 0.4 + 0.1 * (k % 10);
+    b.applyHardwareInputs(in);
+    b.applyPlacementPolicy({static_cast<double>(k % 9), 1.0 + k % 3,
+                            1.0 + k % 2});
+}
+
+/** The plant outputs whose bits the tests compare. */
+std::vector<double>
+plantOutputs(const Board& b)
+{
+    return {b.energy(), b.perfCounters().instr_big,
+            b.perfCounters().instr_little, b.trueTemperature()};
+}
+
+void
+expectSameBits(const Board& a, const Board& b)
+{
+    const std::vector<double> x = plantOutputs(a);
+    const std::vector<double> y = plantOutputs(b);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                  std::bit_cast<std::uint64_t>(y[i]))
+            << "output " << i << " at t=" << a.elapsed();
+    }
 }
 
 TEST(Board, TimeAndEnergyAdvance)
@@ -196,6 +254,69 @@ TEST(Board, MemoryBoundAppGainsLessFromFrequency)
     double gamess_gain = bips_at("gamess", 1.6) / bips_at("gamess", 0.8);
     double mcf_gain = bips_at("mcf", 1.6) / bips_at("mcf", 0.8);
     EXPECT_GT(gamess_gain, mcf_gain + 0.2);
+}
+
+TEST(Board, PlantBitsArePinned)
+{
+    // Every plant output of every period, for mixes that cover serial
+    // and barriered phases, SPEC copies completing one by one, and two
+    // instances sharing the board. Any change to a floating-point
+    // expression's operands or order, or to when the step table is
+    // rebuilt, moves this hash.
+    std::string bits;
+    for (const auto& mix : kPinnedMixes) {
+        Board b = makeMixBoard(mix);
+        // 800 periods of 0.5 s is 400 s. elapsed() sums 1 ms steps,
+        // so it is not a safe loop bound.
+        for (int k = 0; k < 800 && !b.done(); ++k) {
+            applyPeriodInputs(b, k);
+            b.run(0.5);
+            for (double x : plantOutputs(b)) {
+                char raw[sizeof x];
+                std::memcpy(raw, &x, sizeof x);
+                bits.append(raw, sizeof x);
+            }
+        }
+    }
+    EXPECT_EQ(obs::fnv1a(bits), 0x9b5f6f6dbecbf11eull);
+}
+
+TEST(Board, CheckpointRoundTripIsBitExact)
+{
+    for (const auto& mix : {kPinnedMixes[3], kPinnedMixes[2]}) {
+        Board live = makeMixBoard(mix);
+        int k = 0;
+        for (int at : {37, 301, 523}) {
+            for (; k < at && !live.done(); ++k) {
+                applyPeriodInputs(live, k);
+                live.run(0.5);
+            }
+            if (mix == kPinnedMixes[3] && at == 523) {
+                // A checkpoint with a partly finished runnable set.
+                EXPECT_EQ(live.threadsRunning(), 15u);
+            }
+            obs::StateWriter w;
+            live.save(w);
+            Board restored = makeMixBoard(mix);
+            obs::StateReader r(w.dump());
+            restored.load(r);
+            ASSERT_TRUE(r.atEnd());
+
+            // Step before any apply*: an input change would rebuild
+            // the derived state and hide a load() that did not.
+            Board copy = live;
+            copy.run(0.25);
+            restored.run(0.25);
+            expectSameBits(copy, restored);
+            for (int j = k; j < k + 20; ++j) {
+                applyPeriodInputs(copy, j);
+                applyPeriodInputs(restored, j);
+                copy.run(0.5);
+                restored.run(0.5);
+                expectSameBits(copy, restored);
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // Tests for DVFS tables, power/thermal models, workloads, apps,
 // scheduler mechanics, sensors, and the TMU.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,53 @@ namespace yukta::platform {
 namespace {
 
 BoardConfig cfg = BoardConfig::odroidXu3();
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/**
+ * Brute-force runnable scan over the saved workload state: the owning
+ * instance of each thread with work left, in instance-then-thread
+ * order.
+ */
+std::vector<std::size_t>
+scanRunnable(const Workload& w)
+{
+    obs::StateWriter out;
+    w.save(out);
+    obs::StateReader r(out.dump());
+    std::vector<std::size_t> owner;
+    const std::uint64_t instances = r.u64("workload.instances");
+    for (std::size_t i = 0; i < instances; ++i) {
+        const std::string p = "workload.i" + std::to_string(i);
+        r.u64(p + ".phase");
+        r.boolean(p + ".finished");
+        const std::uint64_t threads = r.u64(p + ".threads");
+        for (std::size_t t = 0; t < threads; ++t) {
+            const std::string tp = p + ".t" + std::to_string(t);
+            if (r.f64(tp + ".remaining") > 0.0) {
+                owner.push_back(i);
+            }
+            r.boolean(tp + ".at_barrier");
+        }
+    }
+    return owner;
+}
+
+/** The runnable index agrees with a brute-force scan. */
+void
+expectIndexMatchesScan(const Workload& w)
+{
+    const std::vector<std::size_t> owner = scanRunnable(w);
+    ASSERT_EQ(w.numRunnableThreads(), owner.size());
+    for (std::size_t i = 0; i < owner.size(); ++i) {
+        EXPECT_EQ(w.threadInfo(i).instance, owner[i]) << "thread " << i;
+    }
+    EXPECT_THROW(w.threadInfo(owner.size()), std::out_of_range);
+}
 
 TEST(Dvfs, GridMatchesPaper)
 {
@@ -106,7 +158,50 @@ TEST(Power, LeakageGrowsWithTemperature)
     DvfsTable big(cfg.big);
     PowerModel pm(cfg.big, big);
     ClusterActivity a{4, 1.5, 0.5, 1.0};
-    EXPECT_GT(pm.leakagePower(a, 80.0), pm.leakagePower(a, 40.0));
+    const OperatingPoint op = pm.operatingPoint(a.freq);
+    EXPECT_GT(pm.leakagePower(a, op, 80.0), pm.leakagePower(a, op, 40.0));
+}
+
+TEST(Power, CachedOperatingPointIsBitwiseClusterPower)
+{
+    // The board computes each operating point once per applied
+    // frequency. Power at it must equal, to the bit, both the
+    // quantize-every-call path and the model's closed form.
+    for (const ClusterConfig* cc : {&cfg.big, &cfg.little}) {
+        DvfsTable dvfs(*cc);
+        PowerModel pm(*cc, dvfs);
+        std::vector<double> freqs = dvfs.frequencies();
+        freqs.push_back(1.234);  // off the grid
+        freqs.push_back(9.0);    // above the range
+        for (double freq : freqs) {
+            const OperatingPoint op = pm.operatingPoint(freq);
+            const double f = dvfs.quantize(freq);
+            const double v = dvfs.voltage(f);
+            EXPECT_EQ(bits(op.freq), bits(f));
+            EXPECT_EQ(bits(op.volt), bits(v));
+            for (double temp : {30.0, 61.5, 90.0}) {
+                ClusterActivity a{3, freq, 0.7, 0.95};
+                const double cores = static_cast<double>(a.cores_on);
+                const double dyn = cc->ceff * a.activity * v * v * f *
+                                   std::clamp(a.avg_utilization, 0.0, 1.0) *
+                                   cores;
+                const double leak =
+                    cc->leak_ref * (v / cc->volt_max) *
+                    std::max(1.0 + cc->leak_tc * (temp - 45.0), 0.2) *
+                    cores;
+                const double closed = dyn + leak + cc->uncore;
+                const double cached = pm.clusterPower(a, op, temp);
+                EXPECT_EQ(bits(cached), bits(pm.clusterPower(a, temp)))
+                    << freq;
+                EXPECT_EQ(bits(cached), bits(closed)) << freq;
+
+                ClusterActivity off{0, freq, 0.7, 0.95};
+                EXPECT_EQ(bits(pm.clusterPower(off, op, temp)),
+                          bits(pm.clusterPower(off, temp)));
+                EXPECT_EQ(bits(pm.clusterPower(off, op, temp)), bits(0.0));
+            }
+        }
+    }
 }
 
 TEST(Power, ZeroCoresZeroPower)
@@ -137,6 +232,28 @@ TEST(Thermal, MaxPowerPushesTowardLimit)
     EXPECT_GT(tm.steadyState(5.8), cfg.temp_limit - 5.0);
 }
 
+TEST(Thermal, StepMatchesClosedFormAcrossDtChanges)
+{
+    // The exp() coefficients are cached per dt; a dt change must
+    // recompute them. The closed form recomputes them every step.
+    ThermalModel tm(cfg.thermal);
+    const ThermalConfig& tc = cfg.thermal;
+    double si = tc.ambient;
+    double hs = tc.ambient;
+    const std::vector<std::pair<double, double>> steps = {
+        {3.0, 1e-3}, {3.5, 1e-3}, {4.0, 5.0}, {2.0, 5.0}, {4.5, 1e-3},
+        {1.0, 1e-3}};
+    for (const auto& [p, dt] : steps) {
+        tm.step(p, dt);
+        const double target_si = hs + p * tc.r_silicon;
+        const double target_hs = tc.ambient + p * tc.r_heatsink;
+        si += (1.0 - std::exp(-dt / tc.tau_silicon)) * (target_si - si);
+        hs += (1.0 - std::exp(-dt / tc.tau_heatsink)) * (target_hs - hs);
+        EXPECT_EQ(bits(tm.hotspot()), bits(si)) << "dt=" << dt;
+        EXPECT_EQ(bits(tm.heatsink()), bits(hs)) << "dt=" << dt;
+    }
+}
+
 TEST(Thermal, ResetRestoresAmbient)
 {
     ThermalModel tm(cfg.thermal);
@@ -153,8 +270,13 @@ TEST(Workload, PhaseProgression)
     // Serial phase: one thread.
     EXPECT_EQ(w.numRunnableThreads(), 1u);
     std::size_t v0 = w.placementVersion();
+    expectIndexMatchesScan(w);
+    // Partial progress leaves the runnable set alone.
+    w.retire(0, 1.0);
+    expectIndexMatchesScan(w);
     // Finish the serial phase.
     w.retire(0, app.phases[0].work_per_thread + 1.0);
+    expectIndexMatchesScan(w);
     EXPECT_EQ(w.numRunnableThreads(), 8u);
     EXPECT_GT(w.placementVersion(), v0);
     EXPECT_FALSE(w.done());
@@ -165,13 +287,16 @@ TEST(Workload, BarrierHoldsUntilAllFinish)
     AppModel app = AppCatalog::get("blackscholes");
     Workload w(app);
     w.retire(0, 1e9);  // finish serial
+    expectIndexMatchesScan(w);
     // Finish 7 of 8 parallel threads: still in the same phase.
     for (std::size_t t = 0; t < 7; ++t) {
         w.retire(0, 1e9);  // dense indices shift as threads finish
+        expectIndexMatchesScan(w);
     }
     EXPECT_EQ(w.numRunnableThreads(), 1u);
     EXPECT_FALSE(w.done());
     w.retire(0, 1e9);
+    expectIndexMatchesScan(w);
     EXPECT_TRUE(w.done());
     EXPECT_EQ(w.numRunnableThreads(), 0u);
 }
@@ -181,8 +306,12 @@ TEST(Workload, SpecCopiesIndependent)
     Workload w(AppCatalog::get("mcf"));
     EXPECT_EQ(w.numRunnableThreads(), 8u);
     w.retire(0, 1e9);
+    expectIndexMatchesScan(w);
     // One copy done: it leaves the runnable set immediately.
     EXPECT_EQ(w.numRunnableThreads(), 7u);
+    w.retire(3, 1e9);  // a copy from the middle
+    expectIndexMatchesScan(w);
+    EXPECT_EQ(w.numRunnableThreads(), 6u);
 }
 
 TEST(Workload, WorkRemainingDecreases)
@@ -190,6 +319,7 @@ TEST(Workload, WorkRemainingDecreases)
     Workload w(AppCatalog::get("gamess"));
     double w0 = w.workRemaining();
     w.retire(0, 10.0);
+    expectIndexMatchesScan(w);
     EXPECT_NEAR(w.workRemaining(), w0 - 10.0, 1e-9);
 }
 
@@ -199,6 +329,29 @@ TEST(Workload, MixesCombineApps)
     // blackscholes starts serial (1 thread), mcf starts with 4 copies.
     EXPECT_EQ(w.numRunnableThreads(), 5u);
     EXPECT_EQ(w.name(), "blackscholes+mcf");
+    expectIndexMatchesScan(w);
+    // An mcf copy finishes, then blackscholes leaves its serial phase:
+    // the second instance's threads move behind the first's.
+    w.retire(2, 1e9);
+    expectIndexMatchesScan(w);
+    w.retire(0, 1e9);
+    expectIndexMatchesScan(w);
+    EXPECT_EQ(w.threadInfo(0).instance, 0u);
+    EXPECT_EQ(w.threadInfo(w.numRunnableThreads() - 1).instance, 1u);
+}
+
+TEST(Workload, LoadRebuildsRunnableIndex)
+{
+    Workload w = AppCatalog::getMix("blmc");
+    w.retire(0, 1e9);  // blackscholes enters its parallel phase
+    w.retire(6, 1e9);  // and an mcf copy completes
+    obs::StateWriter out;
+    w.save(out);
+    Workload fresh = AppCatalog::getMix("blmc");
+    obs::StateReader r(out.dump());
+    fresh.load(r);
+    EXPECT_EQ(fresh.numRunnableThreads(), w.numRunnableThreads());
+    expectIndexMatchesScan(fresh);
 }
 
 TEST(Apps, CatalogComplete)

@@ -10,8 +10,9 @@ and fault-injection layers, where an untested branch means an
 unverified degradation path; the system identification layer (RLS +
 drift detection) the online adaptation loop's no-false-swap guarantee
 rests on; the design flow and its cache (src/core), whose keys decide
-whether a stored controller may be served; and the sweep engine
-(src/runner).
+whether a stored controller may be served; the sweep engine
+(src/runner); and the simulated board (src/platform), whose derived
+step state must be rebuilt at every point its inputs change.
 
 Usage:
   tools/coverage_check.py --build-dir build-cov [--floor 70]
@@ -28,7 +29,7 @@ import subprocess
 import sys
 
 DEFAULT_PREFIXES = ("src/controllers", "src/fault", "src/sysid", "src/core",
-                    "src/runner")
+                    "src/runner", "src/platform")
 
 
 def find_gcda(build_dir):
