@@ -101,6 +101,20 @@ if [[ "$FULL_DIGEST" != "$RESUME_DIGEST" ]]; then
 fi
 echo "crash-resume digests match: $FULL_DIGEST"
 
+echo "=== fleet CLI: bad flag values exit 2, never abort ==="
+# A non-numeric flag is rejected while parsing; a value FleetSim
+# refuses is reported once the artifacts exist. Both exit 2.
+for BAD in --boards=abc --sim-seconds=-1; do
+    set +e
+    ./build/examples/yukta-fleet "$BAD" --quiet 2>/dev/null
+    STATUS=$?
+    set -e
+    if [[ "$STATUS" -ne 2 ]]; then
+        echo "yukta-fleet $BAD exited $STATUS, want 2"
+        exit 1
+    fi
+done
+
 # perfbench/ compiles against names in src/ (FleetBoard fields,
 # stepPeriodBegin, ...), so this is what notices a src/ change that
 # breaks the benchmark. run.py exits 0 even when a check fails, so

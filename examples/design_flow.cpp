@@ -8,14 +8,14 @@
  *   2. the teams exchange Interface records;
  *   3. each team runs its characterization campaign and identifies a
  *      black-box model (System Identification);
- *   4. each team synthesizes and validates its SSV controller;
+ *   4. each team synthesizes its SSV controller, whose layer report
+ *      states the bounds D-K guarantees;
  *   5. the combined system is validated on the board.
  */
 
 #include <cstdio>
 #include <iostream>
 
-#include "core/validation.h"
 #include "core/yukta.h"
 
 using namespace yukta;
@@ -51,7 +51,7 @@ main()
     hw_spec = core::hardwareLayerSpec(cfg, data.hw_ranges);
     os_spec = core::softwareLayerSpec(data.os_ranges);
 
-    // ---- Step 4: per-layer synthesis + validation. ----
+    // ---- Step 4: per-layer synthesis. ----
     std::printf("\n=== Synthesis ===\n");
     core::DesignOptions dopt;
     dopt.dk.max_iterations = 2;
@@ -63,14 +63,6 @@ main()
     }
     core::printLayerReport(std::cout, *hw_design);
     core::printLayerReport(std::cout, *os_design);
-
-    // Per-layer nominal validation (closed loop against each team's
-    // own identified model).
-    std::printf("HW nominal validation: %s\n",
-                core::summarize(core::validateNominal(*hw_design)).c_str());
-    std::printf("OS nominal validation: %s\n",
-                core::summarize(core::validateNominal(*os_design)).c_str());
-
 
     // ---- Step 5: combine and validate on the board. ----
     std::printf("=== Combined validation run ===\n");

@@ -16,14 +16,34 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iomanip>
 #include <string>
+#include <vector>
 
 #include "core/yukta.h"
-#include "platform/trace_io.h"
 
 using namespace yukta;
 
 namespace {
+
+/** Writes @p trace to @p path as CSV: a header, then one row per sample. */
+bool
+saveTraceCsv(const std::string& path,
+             const std::vector<platform::TraceSample>& trace)
+{
+    std::ofstream os(path);
+    os << "time,p_big,p_little,temp,bips,f_big,f_little,big_cores,"
+          "little_cores,threads,emergency\n"
+       << std::setprecision(10);
+    for (const platform::TraceSample& s : trace) {
+        os << s.time << ',' << s.p_big << ',' << s.p_little << ','
+           << s.temp << ',' << s.bips << ',' << s.f_big << ','
+           << s.f_little << ',' << s.big_cores << ',' << s.little_cores
+           << ',' << s.threads << ',' << (s.emergency ? 1 : 0) << "\n";
+    }
+    return static_cast<bool>(os);
+}
 
 core::Scheme
 parseScheme(const std::string& name)
@@ -93,7 +113,7 @@ main(int argc, char** argv)
     std::printf("  emergencies : %.1f s\n", m.emergency_time);
 
     if (!trace_path.empty()) {
-        if (platform::saveTraceCsv(trace_path, m.trace)) {
+        if (saveTraceCsv(trace_path, m.trace)) {
             std::printf("  trace       : %s (%zu samples)\n",
                         trace_path.c_str(), m.trace.size());
         } else {

@@ -18,14 +18,19 @@
  *   yukta-fleet --resume=ckpt/fleet-latest.ckpt
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
@@ -83,6 +88,25 @@ usage()
         "  --quiet             suppress the summary\n");
 }
 
+/**
+ * Parses all of @p v as a finite number; false on junk, trailing
+ * text, overflow, or a sign an unsigned @p T cannot hold.
+ */
+template <typename T>
+bool
+parseNumber(const std::string& v, T* out)
+{
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
+    if (ec != std::errc() || ptr != end) {
+        return false;
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+        return std::isfinite(*out);
+    }
+    return true;
+}
+
 bool
 parseFlag(const char* arg, const char* name, std::string* value)
 {
@@ -114,6 +138,7 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         std::string v;
         const char* a = argv[i];
+        bool ok = true;
         if (std::strcmp(a, "--help") == 0) {
             usage();
             return 0;
@@ -132,15 +157,15 @@ main(int argc, char** argv)
         } else if (std::strcmp(a, "--quiet") == 0) {
             quiet = true;
         } else if (parseFlag(a, "--boards", &v)) {
-            cfg.boards = std::atoi(v.c_str());
+            ok = parseNumber(v, &cfg.boards);
         } else if (parseFlag(a, "--shards", &v)) {
-            cfg.shards = std::atoi(v.c_str());
+            ok = parseNumber(v, &cfg.shards);
         } else if (parseFlag(a, "--workers", &v)) {
-            workers = static_cast<std::size_t>(std::atol(v.c_str()));
+            ok = parseNumber(v, &workers);
         } else if (parseFlag(a, "--sim-seconds", &v)) {
-            cfg.sim_seconds = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.sim_seconds);
         } else if (parseFlag(a, "--seed", &v)) {
-            cfg.seed = static_cast<std::uint32_t>(std::atol(v.c_str()));
+            ok = parseNumber(v, &cfg.seed);
         } else if (parseFlag(a, "--scheme", &v)) {
             auto s = runner::schemeFromId(v);
             if (!s) {
@@ -149,31 +174,33 @@ main(int argc, char** argv)
             }
             cfg.scheme = *s;
         } else if (parseFlag(a, "--rate", &v)) {
-            cfg.arrivals.profile.base_rate = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.arrivals.profile.base_rate);
         } else if (parseFlag(a, "--amplitude", &v)) {
-            cfg.arrivals.profile.amplitude = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.arrivals.profile.amplitude);
         } else if (parseFlag(a, "--day", &v)) {
-            cfg.arrivals.profile.period_seconds = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.arrivals.profile.period_seconds);
         } else if (parseFlag(a, "--demand", &v)) {
-            cfg.arrivals.mean_demand_gi = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.arrivals.mean_demand_gi);
         } else if (parseFlag(a, "--slo", &v)) {
-            cfg.slo_seconds = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.slo_seconds);
         } else if (parseFlag(a, "--capacity", &v)) {
-            cfg.admission.queue_capacity_gi = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.admission.queue_capacity_gi);
         } else if (parseFlag(a, "--hops", &v)) {
-            cfg.admission.max_hops = std::atoi(v.c_str());
+            ok = parseNumber(v, &cfg.admission.max_hops);
         } else if (parseFlag(a, "--cluster-epochs", &v)) {
-            cfg.cluster.period_epochs = std::atoi(v.c_str());
+            ok = parseNumber(v, &cfg.cluster.period_epochs);
         } else if (parseFlag(a, "--budget", &v)) {
-            cfg.cluster.power_budget_w = std::atof(v.c_str());
+            ok = parseNumber(v, &cfg.cluster.power_budget_w);
         } else if (parseFlag(a, "--hot", &v)) {
             const std::size_t colon = v.find(':');
-            if (colon == std::string::npos) {
+            int b = 0;
+            double w = 0.0;
+            if (colon == std::string::npos ||
+                !parseNumber(v.substr(0, colon), &b) ||
+                !parseNumber(v.substr(colon + 1), &w)) {
                 std::fprintf(stderr, "--hot wants B:W\n");
                 return 2;
             }
-            const int b = std::atoi(v.substr(0, colon).c_str());
-            const double w = std::atof(v.substr(colon + 1).c_str());
             if (b < 0) {
                 std::fprintf(stderr, "--hot board must be >= 0\n");
                 return 2;
@@ -187,10 +214,10 @@ main(int argc, char** argv)
         } else if (parseFlag(a, "--faults", &v)) {
             faults_spec = v;
         } else if (parseFlag(a, "--watchdog-attempts", &v)) {
-            cfg.watchdog_attempts = std::atoi(v.c_str());
+            ok = parseNumber(v, &cfg.watchdog_attempts);
         } else if (parseFlag(a, "--checkpoint-every", &v)) {
-            ckpt.every_epochs = std::atoi(v.c_str());
-            if (ckpt.every_epochs <= 0) {
+            if (!parseNumber(v, &ckpt.every_epochs) ||
+                ckpt.every_epochs <= 0) {
                 std::fprintf(stderr,
                              "--checkpoint-every wants a positive "
                              "epoch count\n");
@@ -205,6 +232,10 @@ main(int argc, char** argv)
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", a);
             usage();
+            return 2;
+        }
+        if (!ok) {
+            std::fprintf(stderr, "%s: not a number\n", a);
             return 2;
         }
     }
@@ -238,20 +269,26 @@ main(int argc, char** argv)
     }
     const core::Artifacts artifacts = fleet::fleetArtifacts();
 
-    fleet::FleetSim sim(cfg, artifacts);
+    std::optional<fleet::FleetSim> sim;
+    try {
+        sim.emplace(cfg, artifacts);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "yukta-fleet: %s\n", e.what());
+        return 2;
+    }
     if (!resume_path.empty()) {
         try {
-            sim.restoreCheckpoint(resume_path);
+            sim->restoreCheckpoint(resume_path);
         } catch (const std::exception& e) {
             std::fprintf(stderr, "--resume: %s\n", e.what());
             return 1;
         }
         if (!quiet && !digest_only) {
             std::fprintf(stderr, "resumed %s at epoch %d\n",
-                         resume_path.c_str(), sim.epoch());
+                         resume_path.c_str(), sim->epoch());
         }
     }
-    const fleet::FleetMetrics m = sim.run(workers, ckpt);
+    const fleet::FleetMetrics m = sim->run(workers, ckpt);
 
     if (digest_only) {
         std::printf("%016llx\n",

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "linalg/expm.h"
 #include "linalg/lu.h"
 
 namespace yukta::control {
@@ -63,30 +62,6 @@ d2c(const StateSpace& sys)
     Matrix c = 2.0 * (sys.c * apl_inv);
     Matrix d = sys.d - 0.5 * (c * sys.b);
     return StateSpace(a, b, c, d, 0.0);
-}
-
-StateSpace
-c2dZoh(const StateSpace& sys, double ts)
-{
-    if (!sys.isContinuous()) {
-        throw std::invalid_argument("c2dZoh: system already discrete");
-    }
-    if (ts <= 0.0) {
-        throw std::invalid_argument("c2dZoh: sample time must be positive");
-    }
-    std::size_t n = sys.numStates();
-    std::size_t m = sys.numInputs();
-    if (n == 0) {
-        return StateSpace(sys.a, sys.b, sys.c, sys.d, ts);
-    }
-    // exp([[A, B], [0, 0]] ts) = [[Ad, Bd], [0, I]].
-    Matrix aug(n + m, n + m);
-    aug.setBlock(0, 0, ts * sys.a);
-    aug.setBlock(0, n, ts * sys.b);
-    Matrix e = linalg::expm(aug);
-    Matrix ad = e.block(0, 0, n, n);
-    Matrix bd = e.block(0, n, n, m);
-    return StateSpace(ad, bd, sys.c, sys.d, ts);
 }
 
 }  // namespace yukta::control

@@ -32,14 +32,6 @@ StateSpace c2d(const StateSpace& sys, double ts);
  */
 StateSpace d2c(const StateSpace& sys);
 
-/**
- * Zero-order-hold discretization (exact for piecewise-constant
- * inputs, the semantics of a sampled controller driving real
- * actuators): [Ad, Bd] from the matrix exponential of the augmented
- * [[A, B], [0, 0]] * ts.
- */
-StateSpace c2dZoh(const StateSpace& sys, double ts);
-
 }  // namespace yukta::control
 
 #endif  // YUKTA_CONTROL_DISCRETIZE_H_

@@ -44,21 +44,6 @@ series(const StateSpace& g1, const StateSpace& g2)
 }
 
 StateSpace
-parallel(const StateSpace& g1, const StateSpace& g2)
-{
-    checkSameTimebase(g1, g2, "parallel");
-    if (g1.numInputs() != g2.numInputs() ||
-        g1.numOutputs() != g2.numOutputs()) {
-        throw std::invalid_argument("parallel: port mismatch");
-    }
-    Matrix a = blkdiag(g1.a, g2.a);
-    Matrix b = vstack(g1.b, g2.b);
-    Matrix c = hstack(g1.c, g2.c);
-    Matrix d = g1.d + g2.d;
-    return StateSpace(a, b, c, d, g1.ts);
-}
-
-StateSpace
 append(const StateSpace& g1, const StateSpace& g2)
 {
     checkSameTimebase(g1, g2, "append");
@@ -67,27 +52,6 @@ append(const StateSpace& g1, const StateSpace& g2)
     Matrix c = blkdiag(g1.c, g2.c);
     Matrix d = blkdiag(g1.d, g2.d);
     return StateSpace(a, b, c, d, g1.ts);
-}
-
-StateSpace
-feedback(const StateSpace& g, const StateSpace& k)
-{
-    // Loop transfer L = G K; closed loop y = (I + L)^{-1} L r.
-    StateSpace l = series(k, g);
-    std::size_t p = l.numOutputs();
-
-    Matrix i_dl = Matrix::identity(p) + l.d;
-    linalg::Lu lu(i_dl);
-    if (!lu.invertible()) {
-        throw std::runtime_error("feedback: ill-posed loop (I + D)");
-    }
-    Matrix m = lu.inverse();
-
-    Matrix a = l.a - l.b * m * l.c;
-    Matrix b = l.b * (Matrix::identity(p) - m * l.d);
-    Matrix c = m * l.c;
-    Matrix d = m * l.d;
-    return StateSpace(a, b, c, d, g.ts);
 }
 
 StateSpace
@@ -143,36 +107,6 @@ lftLower(const StateSpace& p, const StateSpace& k, std::size_t nz,
     Matrix c = hstack(c1 + d12 * u_x, d12 * u_xk);
     Matrix d = d11 + d12 * u_w;
     return StateSpace(a, b, c, d, p.ts);
-}
-
-StateSpace
-lftUpper(const StateSpace& p, const StateSpace& delta,
-         std::size_t ndelta_out, std::size_t ndelta_in)
-{
-    // Reorder ports so the Delta channels become the *last* ports,
-    // then reuse lftLower. Inputs [d; w] -> [w; d], outputs
-    // [f; z] -> [z; f].
-    std::size_t nin = p.numInputs();
-    std::size_t nout = p.numOutputs();
-    if (ndelta_in > nin || ndelta_out > nout) {
-        throw std::invalid_argument("lftUpper: bad partition");
-    }
-    std::size_t nw = nin - ndelta_in;
-    std::size_t nz = nout - ndelta_out;
-
-    Matrix b = hstack(p.b.block(0, ndelta_in, p.numStates(), nw),
-                      p.b.block(0, 0, p.numStates(), ndelta_in));
-    Matrix c = vstack(p.c.block(ndelta_out, 0, nz, p.numStates()),
-                      p.c.block(0, 0, ndelta_out, p.numStates()));
-    // D reordered in both directions.
-    Matrix d_wz = p.d.block(ndelta_out, ndelta_in, nz, nw);
-    Matrix d_dz = p.d.block(ndelta_out, 0, nz, ndelta_in);
-    Matrix d_wf = p.d.block(0, ndelta_in, ndelta_out, nw);
-    Matrix d_df = p.d.block(0, 0, ndelta_out, ndelta_in);
-    Matrix d = vstack(hstack(d_wz, d_dz), hstack(d_wf, d_df));
-
-    StateSpace reordered(p.a, b, c, d, p.ts);
-    return lftLower(reordered, delta, nz, nw);
 }
 
 }  // namespace yukta::control

@@ -3,9 +3,9 @@
 
 /**
  * @file
- * Interconnections of LTI systems: series, parallel, feedback, block
- * append, and the linear fractional transformations (LFTs) used to
- * close generalized plants with controllers or uncertainty blocks.
+ * Interconnections of LTI systems: series, block append, and the
+ * lower linear fractional transformation (LFT) that closes a
+ * generalized plant with its controller.
  */
 
 #include "control/state_space.h"
@@ -15,23 +15,8 @@ namespace yukta::control {
 /** @return g2 * g1 (u -> g1 -> g2 -> y). */
 StateSpace series(const StateSpace& g1, const StateSpace& g2);
 
-/** @return g1 + g2 (same inputs, outputs added). */
-StateSpace parallel(const StateSpace& g1, const StateSpace& g2);
-
 /** @return diag(g1, g2): inputs and outputs concatenated. */
 StateSpace append(const StateSpace& g1, const StateSpace& g2);
-
-/**
- * Negative-feedback closed loop from reference to plant output:
- * y = G K (r - y), i.e. T = (I + G K)^{-1} G K.
- *
- * @param g plant.
- * @param k controller in the feedback path (identity when omitted
- *        makes T = (I+G)^{-1} G).
- * @throws std::runtime_error when the loop is ill-posed (I + D_g D_k
- *         singular).
- */
-StateSpace feedback(const StateSpace& g, const StateSpace& k);
 
 /**
  * Lower LFT: closes the bottom ports of a generalized plant P with
@@ -47,16 +32,6 @@ StateSpace feedback(const StateSpace& g, const StateSpace& k);
  */
 StateSpace lftLower(const StateSpace& p, const StateSpace& k,
                     std::size_t nz, std::size_t nw);
-
-/**
- * Upper LFT: closes the top ports of a generalized plant P with the
- * (uncertainty) block Delta.
- *
- * P maps [d; w] -> [f; z] where d/f are the first ndelta_in/ndelta_out
- * ports; Delta maps f -> d. The result maps w -> z.
- */
-StateSpace lftUpper(const StateSpace& p, const StateSpace& delta,
-                    std::size_t ndelta_out, std::size_t ndelta_in);
 
 }  // namespace yukta::control
 

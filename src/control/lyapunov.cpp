@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "linalg/lu.h"
-
 namespace yukta::control {
 
 using linalg::Matrix;
@@ -32,24 +30,6 @@ dlyap(const Matrix& a, const Matrix& q)
         }
     }
     throw std::runtime_error("dlyap: iteration diverged (A unstable?)");
-}
-
-Matrix
-clyap(const Matrix& a, const Matrix& q)
-{
-    if (!a.isSquare() || !q.isSquare() || a.rows() != q.rows()) {
-        throw std::invalid_argument("clyap: shape mismatch");
-    }
-    std::size_t n = a.rows();
-    // vec(A X + X A^T) = (I (x) A + A (x) I) vec(X) = -vec(Q).
-    Matrix eye = Matrix::identity(n);
-    Matrix lhs = kron(eye, a) + kron(a, eye);
-    linalg::Lu lu(lhs);
-    if (!lu.invertible()) {
-        throw std::runtime_error("clyap: A and -A share an eigenvalue");
-    }
-    Matrix x = unvec(lu.solve(-vec(q)), n, n);
-    return 0.5 * (x + x.transpose());
 }
 
 }  // namespace yukta::control

@@ -3,9 +3,8 @@
 
 /**
  * @file
- * Lyapunov equation solvers. The discrete solver (Smith doubling)
- * computes the gramians used by balanced truncation; the continuous
- * solver (Kronecker) backs validation and tests.
+ * Discrete Lyapunov equation solver (Smith doubling), which computes
+ * the gramians used by balanced truncation.
  */
 
 #include "linalg/matrix.h"
@@ -21,15 +20,6 @@ namespace yukta::control {
  * @throws std::runtime_error when the iteration diverges (unstable A).
  */
 linalg::Matrix dlyap(const linalg::Matrix& a, const linalg::Matrix& q);
-
-/**
- * Solves the continuous Lyapunov equation A X + X A^T + Q = 0 via the
- * Kronecker-product linear system (suitable for the moderate orders
- * used in controller synthesis).
- *
- * @throws std::runtime_error when A and -A share an eigenvalue.
- */
-linalg::Matrix clyap(const linalg::Matrix& a, const linalg::Matrix& q);
 
 }  // namespace yukta::control
 

@@ -173,13 +173,6 @@ StateSpace::dcGain() const
 }
 
 StateSpace
-StateSpace::dual() const
-{
-    return StateSpace(a.transpose(), c.transpose(), b.transpose(),
-                      d.transpose(), ts);
-}
-
-StateSpace
 StateSpace::scaled(const Matrix& out_scale, const Matrix& in_scale) const
 {
     return StateSpace(a, b * in_scale, out_scale * c,

@@ -93,9 +93,6 @@ struct StateSpace
     /** @return steady-state gain G(0) (continuous) or G(1) (discrete). */
     linalg::Matrix dcGain() const;
 
-    /** @return the transposed/dual system (A', C', B', D'). */
-    StateSpace dual() const;
-
     /** @return the system with inputs/outputs scaled: Do * G * Di. */
     StateSpace scaled(const linalg::Matrix& out_scale,
                       const linalg::Matrix& in_scale) const;

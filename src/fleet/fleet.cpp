@@ -52,6 +52,57 @@ hex64(std::uint64_t v)
     return buf;
 }
 
+/**
+ * @return @p cfg after FleetSim's own checks, which run before any
+ * member is built from it.
+ * @throws std::invalid_argument on bad knobs or fault targets.
+ */
+FleetConfig
+validated(FleetConfig cfg)
+{
+    if (cfg.boards <= 0) {
+        throw std::invalid_argument("FleetSim: boards must be positive");
+    }
+    if (!(cfg.sim_seconds > 0.0)) {
+        throw std::invalid_argument(
+            "FleetSim: sim_seconds must be positive");
+    }
+    if (cfg.watchdog_attempts < 1) {
+        throw std::invalid_argument(
+            "FleetSim: watchdog_attempts must be >= 1");
+    }
+    if (!(cfg.watchdog_timeout_s > 0.0) || cfg.watchdog_backoff_s < 0.0) {
+        throw std::invalid_argument(
+            "FleetSim: watchdog timeout must be positive and backoff "
+            "non-negative");
+    }
+    for (const fault::FaultWindow& w : cfg.faults.windows) {
+        if (w.target != fault::FaultTarget::kBoard) {
+            throw std::invalid_argument(
+                "FleetSim: fleet fault plans take board<i> targets "
+                "only (got '" +
+                fault::faultTargetId(w.target) + "')");
+        }
+        if (w.board < 0 || w.board >= cfg.boards) {
+            throw std::invalid_argument(
+                "FleetSim: fault targets board" +
+                std::to_string(w.board) + " but the fleet has " +
+                std::to_string(cfg.boards) + " boards");
+        }
+    }
+    return cfg;
+}
+
+/** Atomically writes checkpoint @p body to @p path. */
+void
+writeCheckpoint(const std::string& path, const std::string& body)
+{
+    if (!core::atomicWriteFile(path, body)) {
+        throw std::runtime_error("FleetSim: cannot write checkpoint " +
+                                 path);
+    }
+}
+
 }  // namespace
 
 core::AdaptOptions
@@ -179,7 +230,7 @@ FleetBoard::FleetBoard(controllers::MultilayerSystem sys)
 }
 
 FleetSim::FleetSim(FleetConfig cfg, const core::Artifacts& artifacts)
-    : cfg_(std::move(cfg)), artifacts_(artifacts),
+    : cfg_(validated(std::move(cfg))), artifacts_(artifacts),
       service_app_(platform::AppCatalog::makeServiceApp(
           cfg_.service.threads, cfg_.service.ipc_big,
           cfg_.service.mem_boundness)),
@@ -189,37 +240,6 @@ FleetSim::FleetSim(FleetConfig cfg, const core::Artifacts& artifacts)
       admission_(cfg_.admission, cfg_.boards),
       cluster_(cfg_.cluster, artifacts.cfg, cfg_.boards)
 {
-    if (cfg_.boards <= 0) {
-        throw std::invalid_argument("FleetSim: boards must be positive");
-    }
-    if (!(cfg_.sim_seconds > 0.0)) {
-        throw std::invalid_argument(
-            "FleetSim: sim_seconds must be positive");
-    }
-    if (cfg_.watchdog_attempts < 1) {
-        throw std::invalid_argument(
-            "FleetSim: watchdog_attempts must be >= 1");
-    }
-    if (!(cfg_.watchdog_timeout_s > 0.0) ||
-        cfg_.watchdog_backoff_s < 0.0) {
-        throw std::invalid_argument(
-            "FleetSim: watchdog timeout must be positive and backoff "
-            "non-negative");
-    }
-    for (const fault::FaultWindow& w : cfg_.faults.windows) {
-        if (w.target != fault::FaultTarget::kBoard) {
-            throw std::invalid_argument(
-                "FleetSim: fleet fault plans take board<i> targets "
-                "only (got '" +
-                fault::faultTargetId(w.target) + "')");
-        }
-        if (w.board < 0 || w.board >= cfg_.boards) {
-            throw std::invalid_argument(
-                "FleetSim: fault targets board" +
-                std::to_string(w.board) + " but the fleet has " +
-                std::to_string(cfg_.boards) + " boards");
-        }
-    }
     crash_entered_.assign(cfg_.faults.windows.size(), 0);
     crash_exited_.assign(cfg_.faults.windows.size(), 0);
 
@@ -798,9 +818,11 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
         epoch_ = epoch + 1;
         if (ckpt.every_epochs > 0 && epoch_ < epochs &&
             epoch_ % ckpt.every_epochs == 0) {
-            saveCheckpoint(ckpt.dir + "/fleet-" +
-                           std::to_string(epoch_) + ".ckpt");
-            saveCheckpoint(ckpt.dir + "/fleet-latest.ckpt");
+            const std::string body = checkpointBody();
+            writeCheckpoint(
+                ckpt.dir + "/fleet-" + std::to_string(epoch_) + ".ckpt",
+                body);
+            writeCheckpoint(ckpt.dir + "/fleet-latest.ckpt", body);
         }
     }
     epoch_ = epochs;
@@ -848,6 +870,12 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
 
 void
 FleetSim::saveCheckpoint(const std::string& path) const
+{
+    writeCheckpoint(path, checkpointBody());
+}
+
+std::string
+FleetSim::checkpointBody() const
 {
     obs::StateWriter w;
     w.u64("ckpt.version", kCheckpointVersion);
@@ -902,10 +930,7 @@ FleetSim::saveCheckpoint(const std::string& path) const
     }
     std::string body = w.dump();
     body += "ckpt.digest=" + hex64(obs::fnv1a(body)) + "\n";
-    if (!core::atomicWriteFile(path, body)) {
-        throw std::runtime_error("FleetSim: cannot write checkpoint " +
-                                 path);
-    }
+    return body;
 }
 
 void

@@ -377,6 +377,9 @@ class FleetSim
     /** @return the counter-hashed base seed for board @p b. */
     std::uint32_t boardSeed(int b) const;
 
+    /** @return the saveCheckpoint() file body, digest stamp included. */
+    std::string checkpointBody() const;
+
     /** Applies crash entries and cold reboots due at @p t0. */
     void applyCrashTransitions(int epoch, double t0);
 

@@ -316,10 +316,4 @@ csolve(const CMatrix& a, const CMatrix& b)
     return x;
 }
 
-CMatrix
-cinverse(const CMatrix& a)
-{
-    return csolve(a, CMatrix::identity(a.rows()));
-}
-
 }  // namespace yukta::linalg

@@ -125,9 +125,6 @@ CMatrix operator*(Complex s, CMatrix m);
  */
 CMatrix csolve(const CMatrix& a, const CMatrix& b);
 
-/** @return the inverse of a square complex matrix. */
-CMatrix cinverse(const CMatrix& a);
-
 /** YUKTA_CHECK_FINITE customization point (see core/contracts.h). */
 inline bool yuktaAllFinite(const CMatrix& m) { return m.allFinite(); }
 

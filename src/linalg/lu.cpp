@@ -8,7 +8,7 @@
 
 namespace yukta::linalg {
 
-Lu::Lu(const Matrix& a) : lu_(a), piv_(a.rows()), normA_(a.normInf())
+Lu::Lu(const Matrix& a) : lu_(a), piv_(a.rows())
 {
     if (!a.isSquare()) {
         throw std::invalid_argument("Lu: matrix must be square");
@@ -121,16 +121,6 @@ Lu::determinant() const
         d *= lu_(i, i);
     }
     return d;
-}
-
-double
-Lu::rcondEstimate() const
-{
-    if (!invertible_ || normA_ == 0.0) {  // yukta-lint: allow(float-eq)
-        return 0.0;
-    }
-    double norm_inv = inverse().normInf();
-    return 1.0 / (normA_ * norm_inv);
 }
 
 Matrix

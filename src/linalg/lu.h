@@ -45,15 +45,11 @@ class Lu
     /** @return det(A), including the pivot sign. */
     double determinant() const;
 
-    /** @return a cheap infinity-norm reciprocal condition estimate. */
-    double rcondEstimate() const;
-
   private:
     Matrix lu_;
     std::vector<std::size_t> piv_;
     int pivSign_ = 1;
     bool invertible_ = true;
-    double normA_ = 0.0;
 };
 
 /** Convenience: solves A x = b in one call. */

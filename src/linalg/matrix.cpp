@@ -385,54 +385,4 @@ blkdiag(const Matrix& lhs, const Matrix& rhs)
     return out;
 }
 
-Matrix
-kron(const Matrix& lhs, const Matrix& rhs)
-{
-    Matrix out(lhs.rows() * rhs.rows(), lhs.cols() * rhs.cols());
-    for (std::size_t i = 0; i < lhs.rows(); ++i) {
-        for (std::size_t j = 0; j < lhs.cols(); ++j) {
-            double a = lhs(i, j);
-            if (a == 0.0) {  // yukta-lint: allow(float-eq) sparsity skip
-                continue;
-            }
-            for (std::size_t k = 0; k < rhs.rows(); ++k) {
-                for (std::size_t l = 0; l < rhs.cols(); ++l) {
-                    out(i * rhs.rows() + k, j * rhs.cols() + l) =
-                        a * rhs(k, l);
-                }
-            }
-        }
-    }
-    return out;
-}
-
-Matrix
-vec(const Matrix& m)
-{
-    Matrix v(m.rows() * m.cols(), 1);
-    std::size_t idx = 0;
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-            v(idx++, 0) = m(r, c);
-        }
-    }
-    return v;
-}
-
-Matrix
-unvec(const Matrix& v, std::size_t rows, std::size_t cols)
-{
-    if (v.rows() != rows * cols || v.cols() != 1) {
-        throw std::invalid_argument("unvec: size mismatch");
-    }
-    Matrix m(rows, cols);
-    std::size_t idx = 0;
-    for (std::size_t c = 0; c < cols; ++c) {
-        for (std::size_t r = 0; r < rows; ++r) {
-            m(r, c) = v(idx++, 0);
-        }
-    }
-    return m;
-}
-
 }  // namespace yukta::linalg

@@ -159,15 +159,6 @@ Matrix vstack(const Matrix& lhs, const Matrix& rhs);
 /** @return block-diagonal matrix diag(lhs, rhs). */
 Matrix blkdiag(const Matrix& lhs, const Matrix& rhs);
 
-/** @return the Kronecker product lhs (x) rhs. */
-Matrix kron(const Matrix& lhs, const Matrix& rhs);
-
-/** @return column-wise vectorization of @p m as an (rows*cols) x 1 matrix. */
-Matrix vec(const Matrix& m);
-
-/** Inverse of vec: reshapes an (rows*cols) x 1 matrix column-wise. */
-Matrix unvec(const Matrix& v, std::size_t rows, std::size_t cols);
-
 /** YUKTA_CHECK_FINITE customization point (see core/contracts.h). */
 inline bool yuktaAllFinite(const Matrix& m) { return m.allFinite(); }
 

@@ -162,10 +162,4 @@ lstsq(const Matrix& a, const Vector& b)
     return Qr(a).solve(b);
 }
 
-Matrix
-orthonormalize(const Matrix& a)
-{
-    return Qr(a).q();
-}
-
 }  // namespace yukta::linalg

@@ -58,11 +58,6 @@ Matrix lstsq(const Matrix& a, const Matrix& b);
 /** Convenience: vector least squares. */
 Vector lstsq(const Matrix& a, const Vector& b);
 
-/**
- * Orthonormalizes the columns of @p a (thin Q of its QR factorization).
- */
-Matrix orthonormalize(const Matrix& a);
-
 }  // namespace yukta::linalg
 
 #endif  // YUKTA_LINALG_QR_H_

@@ -189,37 +189,4 @@ sigmaMax(const Matrix& a)
     return sigmaMax(CMatrix(a));
 }
 
-double
-sigmaMin(const Matrix& a)
-{
-    if (a.empty()) {
-        return 0.0;
-    }
-    Svd d = svd(a);
-    return d.s.empty() ? 0.0 : d.s.back();
-}
-
-Matrix
-pinv(const Matrix& a, double rtol)
-{
-    if (a.empty()) {
-        return Matrix(a.cols(), a.rows());
-    }
-    Svd d = svd(a);
-    double cutoff = rtol * (d.s.empty() ? 0.0 : d.s.front());
-    Matrix out(a.cols(), a.rows());
-    for (std::size_t k = 0; k < d.s.size(); ++k) {
-        if (d.s[k] <= cutoff || d.s[k] == 0.0) {  // yukta-lint: allow(float-eq)
-            continue;
-        }
-        double inv = 1.0 / d.s[k];
-        for (std::size_t i = 0; i < a.cols(); ++i) {
-            for (std::size_t j = 0; j < a.rows(); ++j) {
-                out(i, j) += d.v(i, k) * inv * d.u(j, k);
-            }
-        }
-    }
-    return out;
-}
-
 }  // namespace yukta::linalg

@@ -47,15 +47,6 @@ double sigmaMax(const CMatrix& a);
 /** @return the largest singular value of @p a (0 for empty). */
 double sigmaMax(const Matrix& a);
 
-/** @return the smallest singular value of @p a. */
-double sigmaMin(const Matrix& a);
-
-/**
- * Moore-Penrose pseudo-inverse with singular values below
- * @p rtol * sigma_max treated as zero.
- */
-Matrix pinv(const Matrix& a, double rtol = 1e-12);
-
 }  // namespace yukta::linalg
 
 #endif  // YUKTA_LINALG_SVD_H_

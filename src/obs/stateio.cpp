@@ -1,8 +1,10 @@
 #include "obs/stateio.h"
 
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 
 namespace yukta::obs {
 
@@ -30,6 +32,15 @@ int hexNibble(char c)
         return c - 'A' + 10;
     }
     return -1;
+}
+
+/** @return true when all of @p v is one base-10 integer that fits. */
+template <typename Int>
+bool parseWhole(const std::string& v, Int& out)
+{
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -173,15 +184,9 @@ void StateReader::failKey(const std::string& key,
 std::uint64_t StateReader::u64(const std::string& key)
 {
     const std::string& v = take(key);
-    if (v.empty()) {
-        failKey(key, "empty value");
-    }
     std::uint64_t out = 0;
-    for (char c : v) {
-        if (c < '0' || c > '9') {
-            failKey(key, "non-digit in '" + v + "'");
-        }
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    if (!parseWhole(v, out)) {
+        failKey(key, "not an unsigned 64-bit integer: '" + v + "'");
     }
     return out;
 }
@@ -189,18 +194,11 @@ std::uint64_t StateReader::u64(const std::string& key)
 long long StateReader::i64(const std::string& key)
 {
     const std::string& v = take(key);
-    if (v.empty()) {
-        failKey(key, "empty value");
-    }
-    const bool neg = v[0] == '-';
     long long out = 0;
-    for (std::size_t i = neg ? 1 : 0; i < v.size(); ++i) {
-        if (v[i] < '0' || v[i] > '9') {
-            failKey(key, "non-digit in '" + v + "'");
-        }
-        out = out * 10 + (v[i] - '0');
+    if (!parseWhole(v, out)) {
+        failKey(key, "not a signed 64-bit integer: '" + v + "'");
     }
-    return neg ? -out : out;
+    return out;
 }
 
 bool StateReader::boolean(const std::string& key)

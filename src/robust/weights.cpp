@@ -35,10 +35,4 @@ makeDiagonalWeight(const std::vector<double>& dc_gains, double wc, double hf)
     return w;
 }
 
-StateSpace
-staticDiagonal(const std::vector<double>& gains)
-{
-    return StateSpace::gain(Matrix::diag(gains), 0.0);
-}
-
 }  // namespace yukta::robust

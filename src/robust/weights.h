@@ -33,9 +33,6 @@ control::StateSpace makeWeight(double dc, double wc, double hf = 0.0);
 control::StateSpace makeDiagonalWeight(const std::vector<double>& dc_gains,
                                        double wc, double hf = 0.0);
 
-/** Static diagonal gain as a (continuous) system. */
-control::StateSpace staticDiagonal(const std::vector<double>& gains);
-
 }  // namespace yukta::robust
 
 #endif  // YUKTA_ROBUST_WEIGHTS_H_

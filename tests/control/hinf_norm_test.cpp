@@ -1,4 +1,4 @@
-#include "control/hinf_norm.h"
+#include "support/hinf_norm.h"
 
 #include <cmath>
 

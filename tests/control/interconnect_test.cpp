@@ -68,12 +68,6 @@ TEST(Series, TimebaseMismatchThrows)
                  std::invalid_argument);
 }
 
-TEST(Parallel, AddsGains)
-{
-    StateSpace p = parallel(lag(0.5, 2.0, 1.0), lag(0.3, 3.0, 1.0));
-    EXPECT_NEAR(p.dcGain()(0, 0), 5.0, 1e-10);
-}
-
 TEST(Append, BlockDiagonalPorts)
 {
     StateSpace a = append(lag(0.5, 2.0, 1.0), lag(0.3, 3.0, 1.0));
@@ -83,48 +77,6 @@ TEST(Append, BlockDiagonalPorts)
     EXPECT_NEAR(dc(0, 0), 2.0, 1e-10);
     EXPECT_NEAR(dc(1, 1), 3.0, 1e-10);
     EXPECT_NEAR(dc(0, 1), 0.0, 1e-12);
-}
-
-TEST(Feedback, UnityFeedbackDcGain)
-{
-    // G with DC gain 4 under unity feedback: T = 4/5. (This discrete
-    // loop is high-gain and genuinely unstable; only DC is checked.)
-    StateSpace g = lag(0.5, 4.0, 1.0);
-    StateSpace k = StateSpace::gain(Matrix::identity(1), 1.0);
-    StateSpace t = feedback(g, k);
-    EXPECT_NEAR(t.dcGain()(0, 0), 0.8, 1e-10);
-}
-
-TEST(Feedback, LowGainLoopStable)
-{
-    // G(z) = 0.4/(z - 0.5): closed-loop pole at 0.1.
-    StateSpace g = lag(0.5, 0.8, 1.0);
-    StateSpace k = StateSpace::gain(Matrix::identity(1), 1.0);
-    StateSpace t = feedback(g, k);
-    EXPECT_TRUE(t.isStable());
-    EXPECT_NEAR(t.poles()[0].real(), 0.1, 1e-10);
-}
-
-TEST(Feedback, MatchesFrequencyDomainFormula)
-{
-    StateSpace g = lag(0.7, 2.0, 1.0);
-    StateSpace k = lag(0.4, 1.5, 1.0);
-    StateSpace t = feedback(g, k);
-    for (double w : {0.0, 0.3, 1.0, 2.5}) {
-        // yukta-lint: allow(freq-loop) pointwise oracle comparison
-        Complex lw = (g.freqResponse(w) * k.freqResponse(w))(0, 0);
-        Complex expect = lw / (Complex(1.0, 0.0) + lw);
-        // yukta-lint: allow(freq-loop) pointwise oracle comparison
-        EXPECT_NEAR(std::abs(t.freqResponse(w)(0, 0) - expect), 0.0, 1e-10);
-    }
-}
-
-TEST(Feedback, IllPosedThrows)
-{
-    // G = -1 static gain with unity feedback: I + D = 0.
-    StateSpace g = StateSpace::gain(Matrix{{-1.0}}, 1.0);
-    StateSpace k = StateSpace::gain(Matrix::identity(1), 1.0);
-    EXPECT_THROW(feedback(g, k), std::runtime_error);
 }
 
 TEST(LftLower, IdentityPlantPassthrough)
@@ -167,28 +119,6 @@ TEST(LftLower, PortMismatchThrows)
     StateSpace k = StateSpace::gain(Matrix(2, 1), 1.0);
     EXPECT_THROW(lftLower(p, k, 1, 1), std::invalid_argument);
     EXPECT_THROW(lftLower(p, k, 3, 1), std::invalid_argument);
-}
-
-TEST(LftUpper, ClosingWithZeroDeltaKeepsNominal)
-{
-    // P: 2x2 static plant; Delta = 0 gives the (2,2) block w -> z.
-    Matrix d{{0.1, 0.2}, {0.3, 0.4}};
-    StateSpace p = StateSpace::gain(d, 1.0);
-    StateSpace zero = StateSpace::gain(Matrix(1, 1), 1.0);
-    StateSpace cl = lftUpper(p, zero, 1, 1);
-    EXPECT_NEAR(cl.dcGain()(0, 0), 0.4, 1e-12);
-}
-
-TEST(LftUpper, MatchesManualFormulaStaticCase)
-{
-    // Static LFT: F_u(P, D) = P22 + P21 D (I - P11 D)^{-1} P12.
-    Matrix d{{0.5, 0.2}, {0.3, 0.4}};
-    StateSpace p = StateSpace::gain(d, 1.0);
-    double delta = 0.6;
-    StateSpace ds = StateSpace::gain(Matrix{{delta}}, 1.0);
-    StateSpace cl = lftUpper(p, ds, 1, 1);
-    double expect = 0.4 + 0.3 * delta / (1.0 - 0.5 * delta) * 0.2;
-    EXPECT_NEAR(cl.dcGain()(0, 0), expect, 1e-12);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Property-based tests for the control-math layer: Lyapunov/Riccati
 // solutions are checked by substituting them back into their defining
-// equations, discretization by round-tripping through the bilinear
-// map, and minimal realization by shape/Markov-parameter invariants.
+// equations, and discretization by round-tripping through the bilinear
+// map.
 // Every case is seeded and replayable (tests/support/prng.h).
 #include <cmath>
 #include <cstddef>
@@ -10,7 +10,6 @@
 
 #include "control/discretize.h"
 #include "control/lyapunov.h"
-#include "control/realization.h"
 #include "control/riccati.h"
 #include "control/state_space.h"
 #include "linalg/lu.h"
@@ -43,20 +42,6 @@ TEST(ControlProperty, DlyapSolutionSatisfiesItsEquation)
         const Matrix residual = a * x * a.transpose() - x + q;
         EXPECT_LT(relResidual(residual, x), 1e-9) << "case " << c;
         EXPECT_LT((x - x.transpose()).maxAbs(), 1e-9) << "case " << c;
-    }
-}
-
-TEST(ControlProperty, ClyapSolutionSatisfiesItsEquation)
-{
-    SplitMix64 rng(0xC1A95EEDull);
-    for (int c = 0; c < kCases; ++c) {
-        const std::size_t n =
-            static_cast<std::size_t>(rng.uniformInt(1, 6));
-        const Matrix a = testsupport::randomStableContinuous(rng, n);
-        const Matrix q = testsupport::randomSymmetric(rng, n, 2.0);
-        const Matrix x = clyap(a, q);
-        const Matrix residual = a * x + x * a.transpose() + q;
-        EXPECT_LT(relResidual(residual, x), 1e-8) << "case " << c;
     }
 }
 
@@ -144,80 +129,6 @@ TEST(ControlProperty, TustinDiscretizeThenInverseRoundTrips)
         EXPECT_LT((back.b - sys.b).maxAbs(), tol) << "case " << c;
         EXPECT_LT((back.c - sys.c).maxAbs(), tol) << "case " << c;
         EXPECT_LT((back.d - sys.d).maxAbs(), tol) << "case " << c;
-    }
-}
-
-/** Markov parameter h_k = C A^(k-1) B (k >= 1) of a discrete system. */
-Matrix
-markov(const StateSpace& sys, int k)
-{
-    Matrix an = Matrix::identity(sys.numStates());
-    for (int i = 1; i < k; ++i) {
-        an = an * sys.a;
-    }
-    return sys.c * an * sys.b;
-}
-
-TEST(ControlProperty, MinimalRealizationStripsDisconnectedStates)
-{
-    SplitMix64 rng(0x31415926ull);
-    for (int c = 0; c < kCases; ++c) {
-        const std::size_t n =
-            static_cast<std::size_t>(rng.uniformInt(1, 4));
-        const std::size_t extra =
-            static_cast<std::size_t>(rng.uniformInt(1, 3));
-        const std::size_t m =
-            static_cast<std::size_t>(rng.uniformInt(1, 2));
-        const std::size_t p =
-            static_cast<std::size_t>(rng.uniformInt(1, 2));
-
-        StateSpace core(testsupport::randomStableDiscrete(rng, n),
-                        testsupport::randomMatrix(rng, n, m),
-                        testsupport::randomMatrix(rng, p, n),
-                        testsupport::randomMatrix(rng, p, m), 0.5);
-
-        // Augment with states that neither see the input nor reach
-        // the output: they must not survive minimal realization.
-        const std::size_t big = n + extra;
-        Matrix a2(big, big);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-                a2(i, j) = core.a(i, j);
-            }
-        }
-        const Matrix junk = testsupport::randomStableDiscrete(rng, extra);
-        for (std::size_t i = 0; i < extra; ++i) {
-            for (std::size_t j = 0; j < extra; ++j) {
-                a2(n + i, n + j) = junk(i, j);
-            }
-        }
-        Matrix b2(big, m);
-        Matrix c2(p, big);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < m; ++j) {
-                b2(i, j) = core.b(i, j);
-            }
-            for (std::size_t j = 0; j < p; ++j) {
-                c2(j, i) = core.c(j, i);
-            }
-        }
-        const StateSpace padded(a2, b2, c2, core.d, 0.5);
-
-        const StateSpace minimal = minimalRealization(padded);
-        EXPECT_LE(minimal.numStates(), n) << "case " << c;
-        EXPECT_EQ(minimal.numInputs(), m) << "case " << c;
-        EXPECT_EQ(minimal.numOutputs(), p) << "case " << c;
-        EXPECT_TRUE(isControllable(minimal)) << "case " << c;
-        EXPECT_TRUE(isObservable(minimal)) << "case " << c;
-
-        // Same input/output behavior: D and the first Markov
-        // parameters must match the unpadded system.
-        EXPECT_LT((minimal.d - core.d).maxAbs(), 1e-8) << "case " << c;
-        for (int k = 1; k <= 6; ++k) {
-            EXPECT_LT((markov(minimal, k) - markov(core, k)).maxAbs(),
-                      1e-6 * (1.0 + markov(core, k).maxAbs()))
-                << "case " << c << " k=" << k;
-        }
     }
 }
 

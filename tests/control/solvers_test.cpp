@@ -87,15 +87,6 @@ TEST(Lyapunov, DlyapRejectsUnstable)
     EXPECT_THROW(dlyap(a, Matrix{{1.0}}), std::runtime_error);
 }
 
-TEST(Lyapunov, ClyapSolvesEquation)
-{
-    Matrix a{{-1.0, 0.4}, {0.0, -0.5}};
-    Matrix q = test::randomSpd(2, 61);
-    Matrix x = clyap(a, q);
-    Matrix resid = a * x + x * a.transpose() + q;
-    EXPECT_LT(resid.maxAbs(), 1e-10);
-}
-
 TEST(Riccati, CareScalarKnownSolution)
 {
     // a=1, g=1, q=2: x^2 - 2x - 2 = 0 -> x = 1 + sqrt(3).

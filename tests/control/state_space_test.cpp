@@ -97,15 +97,6 @@ TEST(StateSpace, FreqResponseDiscreteAtNyquist)
     EXPECT_NEAR(r(0, 0).imag(), 0.0, 1e-12);
 }
 
-TEST(StateSpace, DualSwapsPorts)
-{
-    StateSpace g(Matrix::identity(2), test::randomMatrix(2, 3, 50),
-                 test::randomMatrix(4, 2, 51), Matrix(4, 3), 1.0);
-    StateSpace d = g.dual();
-    EXPECT_EQ(d.numInputs(), 4u);
-    EXPECT_EQ(d.numOutputs(), 3u);
-}
-
 TEST(StateSpace, ScaledAppliesGains)
 {
     StateSpace g = scalarLag(0.5, 1.0);

@@ -14,7 +14,7 @@
 #include "obs/stateio.h"
 #include "obs/trace.h"
 #include "sysid/arx.h"
-#include "sysid/excitation.h"
+#include "support/excitation.h"
 
 namespace yukta::core {
 namespace {

@@ -3,7 +3,6 @@
 // the scheme factory. A reduced design (short campaign, coarse D-K
 // options) is built once and shared across tests.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -15,6 +14,7 @@
 #include "core/schemes.h"
 #include "core/toy_layer.h"
 #include "core/yukta.h"
+#include "support/scratch_dir.h"
 
 #include <sstream>
 
@@ -25,35 +25,17 @@ using platform::AppCatalog;
 using platform::BoardConfig;
 using platform::Workload;
 
-/** Points the design cache at a fresh private directory. */
-class CacheDirEnvironment : public ::testing::Environment
-{
-  public:
-    void SetUp() override
-    {
-        std::filesystem::remove_all(dir());
-        std::filesystem::create_directories(dir());
-        ASSERT_EQ(setenv("YUKTA_CACHE_DIR", dir().c_str(), 1), 0);
-    }
-
-    static std::string dir()
-    {
-        return (std::filesystem::temp_directory_path() / "yukta_core_test")
-            .string();
-    }
-};
-
-::testing::Environment* const cache_env =
-    ::testing::AddGlobalTestEnvironment(new CacheDirEnvironment);
+testsupport::CacheDirEnvironment* const cache_env =
+    testsupport::addCacheDirEnvironment("yukta_core_test");
 
 /** @return the number of design-cache entries. */
 std::size_t
 cacheEntries()
 {
     std::size_t n = 0;
+    const std::filesystem::path& dir = cache_env->dir();
     // yukta-audit: allow(dir-iter) only counted
-    for (const auto& e : std::filesystem::directory_iterator(
-             CacheDirEnvironment::dir())) {
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
         n += e.path().extension() == ".txt" ? 1 : 0;
     }
     return n;

@@ -323,6 +323,41 @@ TEST(FleetFaults, CheckpointTamperAndMismatchRejected)
     std::filesystem::remove_all(dir);
 }
 
+// run() serializes each periodic checkpoint once and writes the bytes
+// to both fleet-<N>.ckpt and fleet-latest.ckpt, so the alias equals
+// the last stamped file and both resume to the uninterrupted digest.
+TEST(FleetFaults, LatestCheckpointIsTheLastStampedOne)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    const FleetConfig cfg = smallConfig(5, "board1:crash@1+1.5");
+    const std::string dir = checkpointDir("latest");
+    std::uint64_t base = 0;
+    {
+        FleetSim sim(cfg, artifacts);
+        CheckpointConfig ckpt;
+        ckpt.every_epochs = 3;  // 8 epochs: fleet-3 and fleet-6.
+        ckpt.dir = dir;
+        base = sim.run(2, ckpt).digest();
+    }
+    const auto slurp = [&dir](const std::string& name) {
+        std::ifstream in(dir + "/" + name, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string last = slurp("fleet-6.ckpt");
+    EXPECT_FALSE(last.empty());
+    EXPECT_EQ(slurp("fleet-latest.ckpt"), last);
+    EXPECT_NE(slurp("fleet-3.ckpt"), last);
+
+    for (const std::string name : {"fleet-6.ckpt", "fleet-latest.ckpt"}) {
+        FleetSim sim(cfg, artifacts);
+        sim.restoreCheckpoint(dir + "/" + name);
+        EXPECT_EQ(sim.epoch(), 6) << name;
+        EXPECT_EQ(sim.run(1).digest(), base) << name;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(FleetFaults, ConstructorRejectsBadFaultPlans)
 {
     const auto artifacts = yukta::fleet::fleetArtifacts();

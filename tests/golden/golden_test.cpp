@@ -3,7 +3,6 @@
 // committed files under tests/golden/. Any divergence is reported as
 // the first diverging tick/field; re-bless deliberate behavior
 // changes with tools/regen_golden.sh.
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -16,7 +15,8 @@
 #include "core/cache.h"
 #include "golden/scenario.h"
 #include "obs/rollup.h"
-#include "obs/trace_diff.h"
+#include "support/scratch_dir.h"
+#include "support/trace_diff.h"
 
 #ifndef YUKTA_GOLDEN_DIR
 #error "YUKTA_GOLDEN_DIR must point at the committed golden traces"
@@ -25,22 +25,8 @@
 namespace yukta::golden {
 namespace {
 
-/** Points the design cache at a private directory. */
-class CacheDirEnvironment : public ::testing::Environment
-{
-  public:
-    void SetUp() override
-    {
-        const std::string dir =
-            (std::filesystem::temp_directory_path() / "yukta_golden_test")
-                .string();
-        std::filesystem::remove_all(dir);
-        ASSERT_EQ(setenv("YUKTA_CACHE_DIR", dir.c_str(), 1), 0);
-    }
-};
-
-::testing::Environment* const cache_env =
-    ::testing::AddGlobalTestEnvironment(new CacheDirEnvironment);
+testsupport::CacheDirEnvironment* const cache_env =
+    testsupport::addCacheDirEnvironment("yukta_golden_test");
 
 /** One artifact bundle shared by every golden test. */
 class GoldenFixture : public ::testing::Test

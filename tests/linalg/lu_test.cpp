@@ -52,14 +52,6 @@ TEST(Lu, NonSquareThrows)
     EXPECT_THROW(Lu(Matrix(2, 3)), std::invalid_argument);
 }
 
-TEST(Lu, RcondSmallForIllConditioned)
-{
-    Matrix good = Matrix::identity(3);
-    Matrix bad{{1.0, 0.0}, {0.0, 1e-12}};
-    EXPECT_GT(Lu(good).rcondEstimate(), 0.5);
-    EXPECT_LT(Lu(bad).rcondEstimate(), 1e-10);
-}
-
 TEST(Cholesky, ReconstructsSpd)
 {
     Matrix a = test::randomSpd(5, 2);
@@ -121,7 +113,6 @@ TEST_P(CsolveProperty, RoundTrip)
     CMatrix x = test::randomCMatrix(n, 2, 800 + n);
     CMatrix b = a * x;
     EXPECT_TRUE(csolve(a, b).isApprox(x, 1e-8));
-    EXPECT_TRUE((a * cinverse(a)).isApprox(CMatrix::identity(n), 1e-8));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CsolveProperty,

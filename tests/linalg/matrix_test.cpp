@@ -163,23 +163,6 @@ TEST(Matrix, Blkdiag)
     EXPECT_DOUBLE_EQ(d(0, 1), 0.0);
 }
 
-TEST(Matrix, KronSizesAndValues)
-{
-    Matrix a{{1.0, 2.0}};
-    Matrix b{{0.0, 3.0}, {4.0, 0.0}};
-    Matrix k = kron(a, b);
-    EXPECT_EQ(k.rows(), 2u);
-    EXPECT_EQ(k.cols(), 4u);
-    EXPECT_DOUBLE_EQ(k(0, 1), 3.0);
-    EXPECT_DOUBLE_EQ(k(1, 2), 8.0);
-}
-
-TEST(Matrix, VecUnvecRoundtrip)
-{
-    Matrix a = test::randomMatrix(3, 5, 11);
-    EXPECT_TRUE(unvec(vec(a), 3, 5).isApprox(a));
-}
-
 TEST(Matrix, StreamOutput)
 {
     std::ostringstream os;
@@ -207,24 +190,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(5, 2, 5), std::make_tuple(7, 7, 7),
                       std::make_tuple(1, 9, 3)));
-
-/** Property sweep: kron is multiplicative, (A (x) B)(C (x) D) = AC (x) BD. */
-class KronProperty : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(KronProperty, Multiplicative)
-{
-    int n = GetParam();
-    Matrix a = test::randomMatrix(n, n, 300 + n);
-    Matrix b = test::randomMatrix(2, 2, 301 + n);
-    Matrix c = test::randomMatrix(n, n, 302 + n);
-    Matrix d = test::randomMatrix(2, 2, 303 + n);
-    EXPECT_TRUE(
-        (kron(a, b) * kron(c, d)).isApprox(kron(a * c, b * d), 1e-10));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, KronProperty, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace yukta::linalg

@@ -75,14 +75,6 @@ TEST(Qr, RankDeficientThrowsOnSolve)
     EXPECT_THROW(qr.solve(Matrix(4, 1)), std::runtime_error);
 }
 
-TEST(Qr, OrthonormalizeProducesOrthonormalBasis)
-{
-    Matrix a = test::randomMatrix(7, 4, 17);
-    Matrix q = orthonormalize(a);
-    EXPECT_TRUE(
-        (q.transpose() * q).isApprox(Matrix::identity(4), 1e-10));
-}
-
 /** Property sweep: residual of LS solution is orthogonal to range(A). */
 class QrResidualProperty
     : public ::testing::TestWithParam<std::pair<int, int>>

@@ -74,11 +74,6 @@ TEST(Svd, SigmaMaxMatchesFroForRankOne)
     EXPECT_NEAR(sigmaMax(a), a.normFro(), 1e-9);
 }
 
-TEST(Svd, SigmaMinOfIdentity)
-{
-    EXPECT_NEAR(sigmaMin(Matrix::identity(4)), 1.0, 1e-12);
-}
-
 TEST(Svd, EmptyMatrix)
 {
     EXPECT_DOUBLE_EQ(sigmaMax(Matrix()), 0.0);
@@ -158,24 +153,6 @@ TEST(Svd, SigmaMaxIsBitwiseSvdFrontForEqualSingularValues)
     EXPECT_EQ(sigmaMax(householder), svd(householder).s.front());
     CMatrix wide = dft.block(0, 0, 3, n);
     EXPECT_EQ(sigmaMax(wide), svd(wide).s.front());
-}
-
-TEST(Pinv, LeftInverseOfFullColumnRank)
-{
-    Matrix a = test::randomMatrix(7, 3, 39);
-    Matrix p = pinv(a);
-    EXPECT_TRUE((p * a).isApprox(Matrix::identity(3), 1e-9));
-}
-
-TEST(Pinv, HandlesRankDeficiency)
-{
-    Matrix u = test::randomMatrix(4, 1, 40);
-    Matrix v = test::randomMatrix(1, 4, 41);
-    Matrix a = u * v;  // rank 1
-    Matrix p = pinv(a);
-    // Moore-Penrose conditions: A p A = A, p A p = p.
-    EXPECT_TRUE((a * p * a).isApprox(a, 1e-8));
-    EXPECT_TRUE((p * a * p).isApprox(p, 1e-8));
 }
 
 /** Property sweep: sigma_max(A) equals sqrt(lambda_max(A^T A)). */

@@ -14,7 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "obs/trace_diff.h"
+#include "support/trace_diff.h"
 
 namespace yukta::obs {
 namespace {

@@ -11,12 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include "control/hinf_norm.h"
 #include "control/state_space.h"
 #include "linalg/svd.h"
 #include "robust/hinf.h"
 #include "robust/mu.h"
 #include "robust/uncertainty.h"
+#include "support/hinf_norm.h"
 
 namespace {
 

@@ -38,13 +38,6 @@ TEST(Weights, DiagonalWeightIsDecoupled)
     EXPECT_THROW(makeDiagonalWeight({}, 1.0), std::invalid_argument);
 }
 
-TEST(Weights, StaticDiagonal)
-{
-    StateSpace w = staticDiagonal({1.5, -2.0});
-    EXPECT_EQ(w.numStates(), 0u);
-    EXPECT_NEAR(w.dcGain()(1, 1), -2.0, 1e-12);
-}
-
 /** A small two-input, two-output, one-external-signal test model. */
 SsvSpec
 makeTestSpec(double guardband = 0.4)

@@ -2,7 +2,6 @@
 // central guarantee -- aggregated metrics are bit-identical no matter
 // how many workers ran the sweep.
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,26 +12,13 @@
 
 #include "obs/trace.h"
 #include "runner/sweep.h"
+#include "support/scratch_dir.h"
 
 namespace yukta::runner {
 namespace {
 
-/** Points the design cache at a private directory for the whole binary. */
-class CacheDirEnvironment : public ::testing::Environment
-{
-  public:
-    void SetUp() override
-    {
-        const std::string dir =
-            (std::filesystem::temp_directory_path() / "yukta_runner_test")
-                .string();
-        std::filesystem::remove_all(dir);
-        ASSERT_EQ(setenv("YUKTA_CACHE_DIR", dir.c_str(), 1), 0);
-    }
-};
-
-::testing::Environment* const cache_env =
-    ::testing::AddGlobalTestEnvironment(new CacheDirEnvironment);
+testsupport::CacheDirEnvironment* const cache_env =
+    testsupport::addCacheDirEnvironment("yukta_runner_test");
 
 /** One reduced artifact bundle shared by the engine tests. */
 class SweepFixture : public ::testing::Test
@@ -151,9 +137,8 @@ TEST_F(SweepFixture, EventTracesAreBitIdenticalAcrossWorkerCounts)
     spec.supervised = true;
     spec.fault_plan = "seed=3;p_big:nan@30+6";
 
-    const auto base =
-        std::filesystem::temp_directory_path() / "yukta_trace_test";
-    std::filesystem::remove_all(base);
+    const testsupport::ScratchDir scratch("yukta_trace_test");
+    const std::filesystem::path& base = scratch.path();
 
     RunnerOptions serial;
     serial.workers = 1;

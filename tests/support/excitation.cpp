@@ -1,4 +1,4 @@
-#include "sysid/excitation.h"
+#include "support/excitation.h"
 
 #include <cmath>
 #include <random>

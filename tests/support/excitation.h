@@ -1,5 +1,5 @@
-#ifndef YUKTA_SYSID_EXCITATION_H_
-#define YUKTA_SYSID_EXCITATION_H_
+#ifndef YUKTA_TESTS_SUPPORT_EXCITATION_H_
+#define YUKTA_TESTS_SUPPORT_EXCITATION_H_
 
 /**
  * @file
@@ -7,6 +7,8 @@
  * (Sec. IV-C): the training runs set the would-be controller inputs
  * "in a variety of ways". We provide pseudo-random binary sequences
  * and multi-level random staircases over each input's allowed grid.
+ * Test data only: the product's training campaign (core/training)
+ * drives its own excitation.
  */
 
 #include <cstdint>
@@ -51,4 +53,4 @@ multiChannelExcitation(std::size_t steps, const std::vector<double>& min,
 
 }  // namespace yukta::sysid
 
-#endif  // YUKTA_SYSID_EXCITATION_H_
+#endif  // YUKTA_TESTS_SUPPORT_EXCITATION_H_

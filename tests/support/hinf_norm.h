@@ -1,5 +1,5 @@
-#ifndef YUKTA_CONTROL_HINF_NORM_H_
-#define YUKTA_CONTROL_HINF_NORM_H_
+#ifndef YUKTA_TESTS_SUPPORT_HINF_NORM_H_
+#define YUKTA_TESTS_SUPPORT_HINF_NORM_H_
 
 /**
  * @file
@@ -7,7 +7,8 @@
  * Boyd-Balakrishnan-Kabamba: gamma exceeds the norm iff the
  * gamma-Hamiltonian has no eigenvalues on the imaginary axis. The
  * frequency-sweep estimate in robust/hinf.h can miss a narrow peak;
- * this test cannot.
+ * this test cannot, so the tests use it as the oracle for that
+ * estimate.
  */
 
 #include "control/state_space.h"
@@ -34,4 +35,4 @@ bool gammaHamiltonianHasImaginaryEigenvalue(const StateSpace& sys,
 
 }  // namespace yukta::control
 
-#endif  // YUKTA_CONTROL_HINF_NORM_H_
+#endif  // YUKTA_TESTS_SUPPORT_HINF_NORM_H_

@@ -1,4 +1,4 @@
-#include "obs/trace_diff.h"
+#include "support/trace_diff.h"
 
 #include <sstream>
 

@@ -1,5 +1,5 @@
-#ifndef YUKTA_OBS_TRACE_DIFF_H_
-#define YUKTA_OBS_TRACE_DIFF_H_
+#ifndef YUKTA_TESTS_SUPPORT_TRACE_DIFF_H_
+#define YUKTA_TESTS_SUPPORT_TRACE_DIFF_H_
 
 /**
  * @file
@@ -54,4 +54,4 @@ std::string describeDivergence(const TraceDivergence& d);
 
 }  // namespace yukta::obs
 
-#endif  // YUKTA_OBS_TRACE_DIFF_H_
+#endif  // YUKTA_TESTS_SUPPORT_TRACE_DIFF_H_

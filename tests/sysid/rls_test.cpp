@@ -8,9 +8,9 @@
 
 #include "linalg/test_util.h"
 #include "obs/stateio.h"
+#include "support/excitation.h"
 #include "sysid/arx.h"
 #include "sysid/drift.h"
-#include "sysid/excitation.h"
 #include "sysid/rls.h"
 
 namespace yukta::sysid {

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "linalg/test_util.h"
+#include "support/excitation.h"
 #include "sysid/arx.h"
-#include "sysid/excitation.h"
 
 namespace yukta::sysid {
 namespace {

@@ -56,6 +56,11 @@ Analyses:
                     nothing is itself an error, so suppressions cannot
                     outlive the code they excused.
 
+  orphan-header     every src/**/*.h must be #included by some
+                    repository file outside tests/ other than its own
+                    .cpp; a header only tests reach is test support
+                    and belongs under tests/support/.
+
 Suppressions:
   // yukta-audit: allow(<rule>)        on the offending line or the
                                        line above
@@ -103,6 +108,7 @@ AUDIT_RULES = (
     "fp-reduce",
     "float-acc",
     "stale-suppression",
+    "orphan-header",
 )
 
 ALLOW_LINE_RE = re.compile(r"yukta-audit:\s*allow\(([\w,-]+)\)")
@@ -641,6 +647,56 @@ def check_stale_suppressions(path, rel, src_root, cfg, findings):
 
 
 # --------------------------------------------------------------------
+# Orphan headers
+# --------------------------------------------------------------------
+
+SOURCE_EXTENSIONS = (".h", ".hpp", ".cpp", ".cc", ".cxx")
+
+
+def non_test_sources(root):
+    """Yields the root-relative C++ files outside tests/, hidden
+    directories and CMake build trees."""
+    for dirpath, dirnames, filenames in os.walk(root):
+        at_top = os.path.samefile(dirpath, root)
+        dirnames[:] = sorted(
+            d for d in dirnames
+            if not d.startswith(".")
+            and not (at_top and d == "tests")
+            and not os.path.isfile(
+                os.path.join(dirpath, d, "CMakeCache.txt")))
+        for name in sorted(filenames):
+            if name.endswith(SOURCE_EXTENSIONS):
+                yield os.path.relpath(os.path.join(dirpath, name), root)
+
+
+def check_orphan_headers(root, findings):
+    """Reports each src/**/*.h that no file outside tests/ includes,
+    not counting the header's own .cpp."""
+    sources = list(non_test_sources(root))
+    included = set()
+    for rel in sources:
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as f:
+            text = f.read()
+        for m in INCLUDE_RE.finditer(text):
+            for base in (os.path.dirname(rel), "src"):
+                target = os.path.normpath(os.path.join(base, m.group(1)))
+                if os.path.isfile(os.path.join(root, target)):
+                    if os.path.splitext(target)[0] != \
+                            os.path.splitext(rel)[0]:
+                        included.add(target)
+                    break
+    for rel in sources:
+        if rel.startswith("src" + os.sep) and rel.endswith(".h") \
+                and rel not in included:
+            findings.append(Finding(
+                rel, 1, "orphan-header",
+                "no file outside tests/ includes this header; "
+                "delete it with the code behind it, or move "
+                "test-only code to tests/support/"))
+
+
+# --------------------------------------------------------------------
 # SARIF
 # --------------------------------------------------------------------
 
@@ -710,6 +766,7 @@ def audit(repo, compdb_path, layers_path):
         ctx = AuditContext(path, rel)
         check_determinism(ctx, cfg, findings)
         check_stale_suppressions(path, rel, src_root, cfg, findings)
+    check_orphan_headers(repo, findings)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings, observed
@@ -841,6 +898,18 @@ def run_self_test(repo):
                              cfg, live)
     expect("live suppressions produce no staleness findings", not live)
     for f in live:
+        print(f"    {f}")
+
+    # ---- orphan headers --------------------------------------------
+    orphans = []
+    check_orphan_headers(tree, orphans)
+    flagged = {f.path for f in orphans}
+    expect("header only its .cpp and tests include caught",
+           os.path.join("src", "low", "orphan.h") in flagged)
+    expect("header included outside tests not flagged",
+           os.path.join("src", "low", "low.h") not in flagged)
+    expect("orphan-header flags nothing else", len(flagged) == 1)
+    for f in orphans:
         print(f"    {f}")
 
     # ---- cycle detection in the layer config -----------------------
