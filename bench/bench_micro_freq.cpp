@@ -1,16 +1,18 @@
 /**
  * @file
  * Microbenchmark: batched (Hessenberg) vs pointwise (dense csolve)
- * frequency response, plus a matmul micro-section sizing the
- * sparsity-skip payoff. Timings are recorded through the PR-4
- * observability machinery (YUKTA_PROFILE_SCOPE -> MetricsRegistry
- * histograms; this translation unit defines YUKTA_TRACE) and emitted
- * as BENCH_micro_freq.json so the speedup trajectory is tracked
- * in-repo.
+ * frequency response, a matmul micro-section sizing the sparsity-skip
+ * payoff, and the mu sweep at 1, 2 and 4 worker threads. Timings are
+ * recorded through the observability machinery (YUKTA_PROFILE_SCOPE
+ * -> MetricsRegistry histograms; this translation unit defines
+ * YUKTA_TRACE, and the mu sweep is timed best-of-N with
+ * obs::Stopwatch) and emitted as BENCH_micro_freq.json so the speedup
+ * trajectory is tracked in-repo.
  *
  * The bench is correctness-checked: it exits non-zero when the
  * batched engine disagrees with the pointwise oracle beyond 1e-10
- * relative, so CI can run it as a smoke stage without gating on
+ * relative, or when a parallel mu sweep differs in any bit from the
+ * serial one, so CI can run it as a smoke stage without gating on
  * timing.
  *
  * Usage: bench_micro_freq [--quick] [--out PATH]
@@ -24,11 +26,16 @@
 #include <string>
 #include <vector>
 
+#include "control/interconnect.h"
 #include "control/state_space.h"
 #include "linalg/cmatrix.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/stopwatch.h"
+#include "robust/dk.h"
+#include "robust/mu.h"
+#include "robust/ssv_design.h"
 
 namespace {
 
@@ -197,6 +204,105 @@ runMatmul(std::size_t n, int reps)
     return out;
 }
 
+/** The small SSV spec of tests/robust/dk_pin_test.cpp. */
+yukta::robust::SsvSpec
+pinnedSpec()
+{
+    Matrix a{{0.6, 0.1}, {0.05, 0.7}};
+    Matrix b{{0.5, 0.1, 0.1}, {0.1, 0.4, 0.05}};
+    Matrix c{{1.0, 0.2}, {0.1, 1.0}};
+    yukta::robust::SsvSpec spec;
+    spec.model = StateSpace(a, b, c, Matrix(2, 3), 0.5);
+    spec.num_inputs = 2;
+    spec.num_external = 1;
+    spec.in_min = {0.0, 0.0};
+    spec.in_max = {4.0, 2.0};
+    spec.in_step = {1.0, 0.1};
+    spec.in_weight = {1.0, 1.0};
+    spec.out_bound = {0.4, 0.3};
+    spec.out_range = {2.0, 1.5};
+    spec.guardband = 0.4;
+    spec.max_order = 12;
+    spec.dk.max_iterations = 1;
+    spec.dk.mu_grid = 12;
+    spec.dk.bisection_steps = 8;
+    return spec;
+}
+
+/** @return true when @p a and @p b agree in every bit of every field. */
+bool
+sameSweep(const yukta::robust::MuSweep& a, const yukta::robust::MuSweep& b)
+{
+    if (a.freqs != b.freqs || a.mu.size() != b.mu.size() ||
+        std::memcmp(&a.peak, &b.peak, sizeof a.peak) != 0 ||
+        std::memcmp(&a.peak_freq, &b.peak_freq, sizeof a.peak_freq) != 0) {
+        return false;
+    }
+    for (std::size_t i = 0; i < a.mu.size(); ++i) {
+        const yukta::robust::MuBound& x = a.mu[i];
+        const yukta::robust::MuBound& y = b.mu[i];
+        if (std::memcmp(&x.upper, &y.upper, sizeof x.upper) != 0 ||
+            std::memcmp(&x.lower, &y.lower, sizeof x.lower) != 0 ||
+            x.d_scales != y.d_scales) {
+            return false;
+        }
+    }
+    return true;
+}
+
+struct SweepResult
+{
+    std::size_t workers = 0;
+    double best_s = 0.0;
+    bool identical = false;  ///< Same bits as the 1-worker sweep.
+};
+
+/**
+ * Times the 12-point mu sweep of the pinned D-K closed loop (the sweep
+ * dkSynthesize runs) at 1, 2 and 4 workers, best of @p reps each, and
+ * compares every result with the serial one bit for bit.
+ */
+std::vector<SweepResult>
+runMuSweeps(int reps)
+{
+    const yukta::robust::SsvSpec spec = pinnedSpec();
+    const yukta::robust::PlantPartition part =
+        yukta::robust::ssvPartition(spec);
+    const yukta::robust::BlockStructure structure =
+        yukta::robust::ssvBlockStructure(spec);
+    const StateSpace pc = yukta::robust::buildGeneralizedPlant(spec, true);
+    const auto dk =
+        yukta::robust::dkSynthesize(pc, part, structure, spec.dk);
+    if (!dk) {
+        std::cerr << "mu sweep: the pinned D-K synthesis failed\n";
+        return {};
+    }
+    const StateSpace loop =
+        yukta::control::lftLower(pc, dk->k, part.nz, part.nw);
+
+    std::vector<SweepResult> out;
+    yukta::robust::MuSweep serial;
+    for (std::size_t workers : {1u, 2u, 4u}) {
+        SweepResult r;
+        r.workers = workers;
+        r.identical = true;
+        for (int rep = 0; rep < reps; ++rep) {
+            const yukta::obs::Stopwatch watch;
+            yukta::robust::MuSweep sweep = yukta::robust::muFrequencySweep(
+                loop, structure, spec.dk.mu_grid, workers);
+            const double s = watch.seconds();
+            r.best_s = rep == 0 ? s : std::min(r.best_s, s);
+            if (workers == 1 && rep == 0) {
+                serial = std::move(sweep);
+            } else {
+                r.identical = r.identical && sameSweep(sweep, serial);
+            }
+        }
+        out.push_back(r);
+    }
+    return out;
+}
+
 }  // namespace
 
 int
@@ -243,6 +349,23 @@ main(int argc, char** argv)
         matmuls.push_back(r);
     }
 
+    const int sweep_reps = quick ? 2 : 10;
+    const std::vector<SweepResult> sweeps = runMuSweeps(sweep_reps);
+    if (sweeps.empty()) {
+        ok = false;
+    }
+    for (const SweepResult& r : sweeps) {
+        std::printf("mu sweep, 12 points, %zu worker%s: best %9.3f ms  "
+                    "%s\n",
+                    r.workers, r.workers == 1 ? " " : "s", r.best_s * 1e3,
+                    r.identical ? "bit-identical" : "DIFFERS");
+        if (!r.identical) {
+            std::cerr << "FAIL: the mu sweep on " << r.workers
+                      << " workers differs from the serial sweep\n";
+            ok = false;
+        }
+    }
+
     std::ofstream json(out_path);
     json << "{\n  \"bench\": \"micro_freq\",\n"
          << "  \"grid_points\": " << grid_points << ",\n"
@@ -270,7 +393,21 @@ main(int argc, char** argv)
                       i + 1 < matmuls.size() ? "," : "");
         json << buf;
     }
-    json << "  ]\n}\n";
+    json << "  ],\n  \"mu_sweep\": {\"grid_points\": 12, \"reps\": "
+         << sweep_reps << ", \"runs\": [\n";
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+        const SweepResult& r = sweeps[i];
+        char buf[160];
+        std::snprintf(buf, sizeof buf,
+                      "    {\"workers\": %zu, \"best_ms\": %.3f, "
+                      "\"speedup\": %.2f, \"bit_identical\": %s}%s\n",
+                      r.workers, r.best_s * 1e3,
+                      r.best_s > 0.0 ? sweeps[0].best_s / r.best_s : 0.0,
+                      r.identical ? "true" : "false",
+                      i + 1 < sweeps.size() ? "," : "");
+        json << buf;
+    }
+    json << "  ]}\n}\n";
     std::cout << "wrote " << out_path << "\n";
     return ok ? 0 : 1;
 }

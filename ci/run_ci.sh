@@ -3,14 +3,15 @@
 #   1. static analysis: no tracked yukta_cache/ entry, yukta-lint
 #      (always) + clang-tidy / cppcheck when the tools exist on the
 #      runner,
-#   2. tier-1 build + full ctest, the bench smokes, and the
-#      repository benchmark's traced fleet-churn and fleet-adapt-cold
-#      runs (perfbench/),
+#   2. tier-1 build (-DYUKTA_WERROR=ON, contracts off) + full ctest,
+#      the bench smokes, and the repository benchmark's traced
+#      fleet-churn and fleet-adapt-cold runs (perfbench/),
 #   3. contracts build (-DYUKTA_CHECKS=ON -DYUKTA_WERROR=ON) + full
 #      ctest with every YUKTA_REQUIRE / YUKTA_ENSURE / CHECK_FINITE
 #      active,
-#   4. runner tests again under ThreadSanitizer (and, optionally, the
-#      whole suite under ASan/UBSan with YUKTA_CI_ASAN=1),
+#   4. runner and robust tests, and the fleet's multi-worker digest
+#      tests, again under ThreadSanitizer (and, optionally, the whole
+#      suite under ASan/UBSan with YUKTA_CI_ASAN=1),
 #   5. optionally (YUKTA_CI_COVERAGE=1, the GitHub coverage job sets
 #      it), a -DYUKTA_COVERAGE=ON build + ctest and the gcov
 #      line-coverage floor on src/controllers, fault, sysid, core,
@@ -36,8 +37,11 @@ echo "=== static analysis: yukta-lint ==="
 python3 tools/lint/yukta_lint.py --self-test
 python3 tools/lint/yukta_lint.py --jobs "$JOBS"
 
-echo "=== tier-1: default build + full ctest ==="
-cmake -B build -S . >/dev/null
+echo "=== tier-1: default build (-Werror) + full ctest ==="
+# Warnings-as-errors here too, not only in the contracts build: code
+# that compiles differently with contracts off (unused variables the
+# macros would read) must stay warning-free as well.
+cmake -B build -S . -DYUKTA_WERROR=ON >/dev/null
 
 # The deeper audit consumes the compile_commands.json the configure
 # step just exported: layer-DAG conformance (pinned against the
@@ -53,8 +57,10 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "=== micro-bench smoke: batched vs pointwise freq response ==="
-# Correctness-gated (batch must match the pointwise oracle to 1e-10);
-# the timings land in the JSON for trend inspection, never gate CI.
+# Correctness-gated (batch must match the pointwise oracle to 1e-10,
+# and the mu sweep on 2 and 4 workers must equal the serial sweep bit
+# for bit); the timings land in the JSON for trend inspection, never
+# gate CI.
 ./build/bench/bench_micro_freq --quick --out build/BENCH_micro_freq.json
 
 echo "=== micro-bench smoke: per-tick controller cost ==="
@@ -172,7 +178,7 @@ echo "=== fault matrix: supervised vs unsupervised smoke ==="
 # constraint-violation time in every fault scenario.
 ./build-checks/bench/bench_faults --quick
 
-echo "=== runner + fleet tests under ThreadSanitizer ==="
+echo "=== runner, robust + fleet tests under ThreadSanitizer ==="
 # Availability-gated: probe whether this toolchain can link TSan
 # before committing to the build (some containers ship a compiler
 # without libtsan).
@@ -182,17 +188,22 @@ if echo 'int main() { return 0; }' \
     rm -f "$TSAN_PROBE"
     cmake -B build-tsan -S . -DYUKTA_SANITIZE=thread \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    cmake --build build-tsan -j "$JOBS" --target test_runner test_fleet
+    cmake --build build-tsan -j "$JOBS" \
+          --target test_runner test_robust test_fleet
     # halt_on_error so a reported race fails CI instead of scrolling by.
+    # test_robust holds the parallel mu sweep (parallel_for.h) and its
+    # 1/2/4/16-worker bit-identity test.
     TSAN_OPTIONS="halt_on_error=1" \
-        ctest --test-dir build-tsan -R '^test_runner$' --output-on-failure
+        ctest --test-dir build-tsan -R '^test_(runner|robust)$' \
+              --output-on-failure
     # The fleet's shared-nothing shard phase is the other place real
     # threads touch shared state; the 1-vs-N digest tests drive it
     # with 1, 2, and 4 workers, healthy and faulted (crash, hang, and
-    # the watchdog's retried shard attempts).
+    # the watchdog's retried shard attempts). The cold re-synthesis
+    # test runs an online D-K synthesis on 4 threads.
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_fleet \
-        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetFaults.FaultedRunIsBitIdenticalForAnyWorkerCount'
+        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetFaults.FaultedRunIsBitIdenticalForAnyWorkerCount:FleetAdapt.ColdResynthesisIsBitIdenticalAcrossWorkerCounts'
 else
     rm -f "$TSAN_PROBE"
     echo "=== ThreadSanitizer unavailable on this toolchain; skipping ==="

@@ -93,31 +93,42 @@ StateSpace::freqResponse(double w) const
 std::vector<CMatrix>
 StateSpace::freqResponseBatch(const std::vector<double>& freqs) const
 {
+    return FrequencyResponse(*this).evaluate(freqs);
+}
+
+FrequencyResponse::FrequencyResponse(const StateSpace& sys)
+    : ts_(sys.ts), d_(sys.d)
+{
+    if (sys.numStates() == 0) {
+        return;
+    }
+    // A = Q H Q^T, then fold Q into the input and output maps so every
+    // frequency only touches H.
+    const linalg::HessenbergForm hess = linalg::hessenbergReduce(sys.a);
+    bt_ = CMatrix(hess.q.transpose() * sys.b);
+    ct_ = CMatrix(sys.c * hess.q);
+    solver_.emplace(hess.h, sys.numInputs());
+}
+
+std::vector<CMatrix>
+FrequencyResponse::evaluate(const std::vector<double>& freqs)
+{
     std::vector<CMatrix> out;
     out.reserve(freqs.size());
-    const std::size_t n = numStates();
-    if (n == 0) {
-        out.assign(freqs.size(), CMatrix(d));
+    if (!solver_) {
+        out.assign(freqs.size(), d_);
         return out;
     }
-
-    // One-time O(n^3): A = Q H Q^T, then fold Q into the input and
-    // output maps so every grid point only touches H.
-    const linalg::HessenbergForm hess = linalg::hessenbergReduce(a);
-    const CMatrix bt(hess.q.transpose() * b);
-    const CMatrix ct(c * hess.q);
-    const CMatrix dc(d);
-    linalg::HessenbergSolver solver(hess.h, numInputs());
-
-    const std::size_t p = numOutputs();
-    const std::size_t m = numInputs();
-    const Complex* cp = ct.data();
-    const Complex* dp = dc.data();
+    const std::size_t n = ct_.cols();
+    const std::size_t p = d_.rows();
+    const std::size_t m = d_.cols();
+    const Complex* cp = ct_.data();
+    const Complex* dp = d_.data();
     for (double w : freqs) {
-        const Complex z = isDiscrete() ? std::exp(Complex(0.0, w * ts))
-                                       : Complex(0.0, w);
-        const CMatrix& x = solver.solve(z, bt);
-        // G = ct x + dc, filled in place: a per-point operator* would
+        const Complex z = ts_ > 0.0 ? std::exp(Complex(0.0, w * ts_))
+                                    : Complex(0.0, w);
+        const CMatrix& x = solver_->solve(z, bt_);
+        // G = ct x + d, filled in place: a per-point operator* would
         // allocate two temporaries and rescan x for finiteness, which
         // costs more than the O(n^2) solve at small orders.
         const Complex* xp = x.data();

@@ -13,9 +13,11 @@
  */
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "linalg/cmatrix.h"
+#include "linalg/hessenberg.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -78,11 +80,10 @@ struct StateSpace
     linalg::CMatrix freqResponse(double w) const;
 
     /**
-     * Batched frequency response over a whole grid (Laub's method):
-     * one O(n^3) orthogonal Hessenberg reduction of A, then an
-     * O(n^2) shifted-Hessenberg solve per grid point with reused
-     * workspaces. Agrees with pointwise freqResponse() to roundoff;
-     * the pointwise path stays the oracle in tests.
+     * Batched frequency response over a whole grid: one
+     * FrequencyResponse of this system, evaluated once. Agrees with
+     * pointwise freqResponse() to roundoff; the pointwise path stays
+     * the oracle in tests.
      *
      * @param freqs angular frequencies (rad/s), any order.
      * @return G(jw) (or G(e^{j w Ts})) for each entry of @p freqs.
@@ -96,6 +97,37 @@ struct StateSpace
     /** @return the system with inputs/outputs scaled: Do * G * Di. */
     StateSpace scaled(const linalg::Matrix& out_scale,
                       const linalg::Matrix& in_scale) const;
+};
+
+/**
+ * Laub's frequency-response engine for one system. Construction does
+ * the O(n^3) part once: the orthogonal Hessenberg reduction
+ * A = Q H Q^T, with Q folded into B and C. Every later frequency is
+ * an O(n^2) shifted-Hessenberg solve with reused workspaces, so a
+ * caller that evaluates the same system over several frequency lists
+ * (hinfNorm's grid and its refinement rounds) factors A only once.
+ * A point's arithmetic does not depend on which list it came in.
+ * Not thread-safe: evaluations share one solver workspace.
+ */
+class FrequencyResponse
+{
+  public:
+    /** Reduces @p sys; the engine keeps its own copies of the maps. */
+    explicit FrequencyResponse(const StateSpace& sys);
+
+    /**
+     * @param freqs angular frequencies (rad/s), any order.
+     * @return G(jw) (or G(e^{j w Ts})) for each entry of @p freqs.
+     */
+    std::vector<linalg::CMatrix> evaluate(const std::vector<double>& freqs);
+
+  private:
+    double ts_;               ///< Sample time; 0 means continuous.
+    linalg::CMatrix bt_;      ///< Q^T B.
+    linalg::CMatrix ct_;      ///< C Q.
+    linalg::CMatrix d_;       ///< D.
+    /** Solver against H; empty for a static gain (no states). */
+    std::optional<linalg::HessenbergSolver> solver_;
 };
 
 /**

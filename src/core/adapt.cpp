@@ -188,20 +188,31 @@ OnlineAdapter::observe(const Vector& u, const Vector& y)
 }
 
 bool
-OnlineAdapter::synthesize()
+OnlineAdapter::synthesize(std::size_t workers)
 {
     if (phase_ != Phase::kSynthReady || !snapshot_) {
         return false;
     }
     ++syntheses_;
-    // Any non-empty cache_key switches the design cache on.
-    auto res = resynthesizeSsvLayer(spec_, *snapshot_, num_external_,
-                                    opt_.dk, "on");
+    // Any non-empty cache_key switches the design cache on. A spec the
+    // synthesizer rejects fails like an infeasible one: the adapter
+    // stands down instead of staying due for the next dispatch.
+    std::optional<Resynthesis> res;
+    std::string error;
+    try {
+        res = resynthesizeSsvLayer(spec_, *snapshot_, num_external_,
+                                   opt_.dk, "on", workers);
+    } catch (const std::exception& e) {
+        error = e.what();
+    }
     if (sink_ != nullptr) {
         obs::TraceEvent ev = sink_->makeEvent("adapt", "synthesis");
         ev.integer("adapt_tick", static_cast<long long>(tick_))
             .integer("ok", res.has_value() ? 1 : 0)
             .integer("cache_hit", res && res->cache_hit ? 1 : 0);
+        if (!error.empty()) {
+            ev.str("error", error);
+        }
         sink_->record(std::move(ev));
     }
     if (!res) {

@@ -122,13 +122,16 @@ class OnlineAdapter
     /**
      * Runs the re-synthesis for the frozen model snapshot through
      * resynthesizeSsvLayer and the design cache (pool-task body:
-     * deterministic, idempotent, board-local). Drift that converges
-     * to an already-synthesized model is served from the cache. On
-     * success the swap is scheduled swap_delay_ticks ahead; on
-     * failure the adapter disables itself.
+     * deterministic, board-local). Drift that converges to an
+     * already-synthesized model is served from the cache. On success
+     * the swap is scheduled swap_delay_ticks ahead. On failure --
+     * infeasible, or a spec the synthesizer throws on -- the adapter
+     * disables itself; nothing is thrown, and later calls are no-ops.
+     * @param workers threads for the synthesis's mu sweeps; the
+     *   controller is bit-identical for every value.
      * @return true on success.
      */
-    bool synthesize();
+    bool synthesize(std::size_t workers = 1);
 
     /** @return true when the scheduled swap should install now. */
     bool swapDue() const

@@ -113,7 +113,7 @@ designSsvLayer(const LayerSpec& spec, const sysid::IoData& data,
 std::optional<Resynthesis>
 resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
                      std::size_t num_external, const robust::DkOptions& dk,
-                     const std::string& cache_key)
+                     const std::string& cache_key, std::size_t workers)
 {
     std::string path;
     if (!cache_key.empty()) {
@@ -125,8 +125,8 @@ resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
             return Resynthesis{ssvControllerToText(*cached), true};
         }
     }
-    auto ctrl =
-        robust::ssvSynthesize(specFromLayer(spec, model, num_external, dk));
+    auto ctrl = robust::ssvSynthesize(
+        specFromLayer(spec, model, num_external, dk), workers);
     if (!ctrl) {
         return std::nullopt;
     }

@@ -74,14 +74,18 @@ struct Resynthesis
  * online adapter. A non-empty @p cache_key switches the design cache
  * on: the entry ssvCacheKey(spec, model, num_external, dk) is served
  * when present and written after a fresh synthesis; the value of
- * @p cache_key is not part of the name.
+ * @p cache_key is not part of the name. @p workers threads compute
+ * the mu sweeps (robust::ssvSynthesize); the text is the same for
+ * every value, so it is not part of the name either.
  * @return the controller text, or std::nullopt when synthesis fails.
+ * @throws std::invalid_argument when the spec is inconsistent.
  */
 std::optional<Resynthesis>
 resynthesizeSsvLayer(const LayerSpec& spec, const sysid::ArxModel& model,
                      std::size_t num_external,
                      const robust::DkOptions& dk,
-                     const std::string& cache_key);
+                     const std::string& cache_key,
+                     std::size_t workers = 1);
 
 /**
  * Wraps an SSV controller into its runtime form (state machine +

@@ -395,28 +395,30 @@ FleetSim::applyDriftWindows(double t0)
 void
 FleetSim::stepAdaptation(std::size_t workers, double t0)
 {
-    // Dispatch due re-syntheses as background jobs on the pool. Each
-    // task is board-local and deterministic, so the outcome is
-    // independent of worker count and scheduling; a failed synthesis
-    // disables that board's adapter (kDisabled), never the run.
-    std::vector<runner::Task> tasks;
+    // Dispatch due re-syntheses on the pool. Each task is board-local
+    // and deterministic, so the outcome is independent of worker count
+    // and scheduling. The run's workers are split evenly between the
+    // due syntheses for their mu sweeps; a lone one runs on this
+    // thread with all of them. A failed synthesis disables that
+    // board's adapter (kDisabled) without throwing, never the run.
+    std::vector<core::OnlineAdapter*> due;
     for (const auto& fbp : boards_) {
         FleetBoard& fb = *fbp;
-        if (fb.adapter == nullptr || fb.down ||
-            !fb.adapter->synthesisDue()) {
-            continue;
+        if (fb.adapter != nullptr && !fb.down &&
+            fb.adapter->synthesisDue()) {
+            due.push_back(fb.adapter.get());
         }
-        core::OnlineAdapter* adapter = fb.adapter.get();
-        tasks.push_back([adapter](const runner::CancelToken&) {
-            if (!adapter->synthesize()) {
-                throw std::runtime_error("adapt synthesis failed");
-            }
-        });
     }
-    if (!tasks.empty()) {
-        runner::RetryPolicy retry;
-        retry.max_attempts = 2;
-        runner::runOnPool(tasks, workers, 0.0, {}, retry);
+    if (!due.empty()) {
+        const std::size_t share =
+            std::max<std::size_t>(1, workers / due.size());
+        std::vector<runner::Task> tasks;
+        for (core::OnlineAdapter* adapter : due) {
+            tasks.push_back([adapter, share](const runner::CancelToken&) {
+                adapter->synthesize(share);
+            });
+        }
+        runner::runOnPool(tasks, workers);
     }
 
     // Install due swaps serially in board index order, through the

@@ -389,9 +389,10 @@ class FleetSim
 
     /**
      * The serial adaptation coordinator, after the shard phase: runs
-     * due re-synthesis jobs on @p workers pool workers (board index
-     * order, retried per the runner policy) and installs due hot-swaps
-     * through the bumpless-transfer path.
+     * the due re-synthesis jobs on @p workers pool workers, each with
+     * max(1, workers / due) threads for its mu sweeps, then installs
+     * due hot-swaps in board index order through the bumpless-transfer
+     * path.
      */
     void stepAdaptation(std::size_t workers, double t0);
 

@@ -39,7 +39,8 @@ scalePlant(const StateSpace& p, const PlantPartition& part,
 
 std::optional<DkResult>
 dkSynthesize(const StateSpace& p, const PlantPartition& part,
-             const BlockStructure& structure, const DkOptions& options)
+             const BlockStructure& structure, const DkOptions& options,
+             std::size_t workers)
 {
     YUKTA_PROFILE_SCOPE("dk_synthesize");
     if (structure.totalOutputs() != part.nw ||
@@ -78,7 +79,8 @@ dkSynthesize(const StateSpace& p, const PlantPartition& part,
         if (!n.isStable(1e-9)) {
             break;
         }
-        MuSweep sweep = muFrequencySweep(n, structure, options.mu_grid);
+        MuSweep sweep =
+            muFrequencySweep(n, structure, options.mu_grid, workers);
 
         if (!best || sweep.peak < best->mu_peak) {
             DkResult r;

@@ -53,13 +53,17 @@ struct DkResult
  *   inputs, nz = all perturbation+performance outputs.
  * @param structure uncertainty blocks + trailing performance block;
  *   totalOutputs() must equal part.nw and totalInputs() part.nz.
+ * @param workers threads for each mu sweep (muFrequencySweep). Not an
+ *   option: it changes no bit of the result, and DkOptions is part of
+ *   the design-cache key.
  * @return best controller with its SSV certificate, or std::nullopt
  *   when no stabilizing controller is found at any gamma.
  */
 std::optional<DkResult> dkSynthesize(const control::StateSpace& p,
                                      const PlantPartition& part,
                                      const BlockStructure& structure,
-                                     const DkOptions& options = {});
+                                     const DkOptions& options = {},
+                                     std::size_t workers = 1);
 
 }  // namespace yukta::robust
 

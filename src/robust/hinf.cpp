@@ -73,7 +73,9 @@ hinfNorm(const StateSpace& sys, std::size_t grid_points)
     }
     const std::vector<double> grid =
         control::logSpacedFrequencies(lo, hi, grid_points);
-    const std::vector<linalg::CMatrix> resp = sys.freqResponseBatch(grid);
+    // One reduction of A serves the grid and every refinement round.
+    control::FrequencyResponse response(sys);
+    const std::vector<linalg::CMatrix> resp = response.evaluate(grid);
     std::vector<double> sig(grid_points);
     for (std::size_t i = 0; i < grid_points; ++i) {
         sig[i] = linalg::sigmaMax(resp[i]);
@@ -129,8 +131,7 @@ hinfNorm(const StateSpace& sys, std::size_t grid_points)
                 }
                 ws.push_back(w);
             }
-            const std::vector<linalg::CMatrix> rr =
-                sys.freqResponseBatch(ws);
+            const std::vector<linalg::CMatrix> rr = response.evaluate(ws);
             for (std::size_t k = 0; k < rr.size(); ++k) {
                 const double s = linalg::sigmaMax(rr[k]);
                 if (s > local) {
@@ -335,8 +336,6 @@ hinfSynthesize(const StateSpace& p, const PlantPartition& part,
     HinfResult out;
     out.k = discrete ? control::c2d(*best, p.ts) : *best;
     out.gamma = best_gamma;
-    StateSpace cl = control::lftLower(p, out.k, part.nz, part.nw);
-    out.achieved = cl.isStable() ? hinfNorm(cl) : 1e300;
     return out;
 }
 

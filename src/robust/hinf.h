@@ -33,7 +33,6 @@ struct HinfResult
 {
     control::StateSpace k;   ///< Controller (y -> u), same timebase as P.
     double gamma = 0.0;      ///< Guaranteed closed-loop norm bound.
-    double achieved = 0.0;   ///< Measured closed-loop norm (freq sweep).
 };
 
 /**

@@ -6,6 +6,7 @@
 #include "control/state_space.h"
 #include "core/contracts.h"
 #include "linalg/svd.h"
+#include "robust/parallel_for.h"
 #include "robust/worst_case.h"
 
 namespace yukta::robust {
@@ -126,7 +127,7 @@ computeMu(const CMatrix& m, const BlockStructure& s)
 
 MuSweep
 muFrequencySweep(const control::StateSpace& n, const BlockStructure& s,
-                 std::size_t grid_points)
+                 std::size_t grid_points, std::size_t workers)
 {
     if (n.numInputs() != s.totalOutputs() ||
         n.numOutputs() != s.totalInputs()) {
@@ -148,15 +149,18 @@ muFrequencySweep(const control::StateSpace& n, const BlockStructure& s,
         hi = 1e3;
     }
     out.freqs = control::logSpacedFrequencies(lo, hi, grid_points);
-    out.mu.reserve(grid_points);
     const std::vector<CMatrix> resp = n.freqResponseBatch(out.freqs);
+    // Each point is a pure function of its own response, so the
+    // bounds are the same bits however many threads compute them.
+    out.mu.resize(grid_points);
+    parallelFor(grid_points, workers, [&](std::size_t i) {
+        out.mu[i] = computeMu(resp[i], s);
+    });
     for (std::size_t i = 0; i < grid_points; ++i) {
-        MuBound b = computeMu(resp[i], s);
-        if (b.upper > out.peak) {
-            out.peak = b.upper;
+        if (out.mu[i].upper > out.peak) {
+            out.peak = out.mu[i].upper;
             out.peak_freq = out.freqs[i];
         }
-        out.mu.push_back(std::move(b));
     }
     return out;
 }

@@ -62,10 +62,14 @@ struct MuSweep
  * @param n system whose input/output dimensions match the structure.
  * @param structure block structure.
  * @param grid_points number of grid frequencies.
+ * @param workers threads (the caller among them) that compute the
+ *   per-frequency bounds. Each point is independent, so the result is
+ *   bit-identical for every value; 0 and 1 both run serially.
  */
 MuSweep muFrequencySweep(const control::StateSpace& n,
                          const BlockStructure& structure,
-                         std::size_t grid_points = 48);
+                         std::size_t grid_points = 48,
+                         std::size_t workers = 1);
 
 /**
  * Builds the constant D-scaling matrices (left and right) from

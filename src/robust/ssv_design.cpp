@@ -253,7 +253,7 @@ buildGeneralizedPlant(const SsvSpec& spec, bool continuous)
 }
 
 std::optional<SsvController>
-ssvSynthesize(const SsvSpec& spec)
+ssvSynthesize(const SsvSpec& spec, std::size_t workers)
 {
     validateSpec(spec);
     PlantPartition part = ssvPartition(spec);
@@ -262,7 +262,7 @@ ssvSynthesize(const SsvSpec& spec)
     // K-step plant: continuous, so the DGKF assumptions (D11 = 0)
     // hold by construction.
     StateSpace pc = buildGeneralizedPlant(spec, true);
-    auto dk = dkSynthesize(pc, part, structure, spec.dk);
+    auto dk = dkSynthesize(pc, part, structure, spec.dk, workers);
     if (!dk) {
         return std::nullopt;
     }
@@ -284,8 +284,8 @@ ssvSynthesize(const SsvSpec& spec)
         if (!n.isStable(1e-9)) {
             return std::nullopt;
         }
-        return std::make_pair(n, muFrequencySweep(n, structure,
-                                                  spec.dk.mu_grid));
+        return std::make_pair(
+            n, muFrequencySweep(n, structure, spec.dk.mu_grid, workers));
     };
 
     // Reduce to the runtime order (paper: N = 20) when possible.

@@ -118,11 +118,14 @@ BlockStructure ssvBlockStructure(const SsvSpec& spec);
 /**
  * Synthesizes the layer's SSV controller.
  *
+ * @param workers threads for the D-K and certification mu sweeps;
+ *   the result is bit-identical for every value.
  * @return the controller and certificate, or std::nullopt when no
  *   stabilizing design exists within the gamma budget.
  * @throws std::invalid_argument on inconsistent specifications.
  */
-std::optional<SsvController> ssvSynthesize(const SsvSpec& spec);
+std::optional<SsvController> ssvSynthesize(const SsvSpec& spec,
+                                           std::size_t workers = 1);
 
 }  // namespace yukta::robust
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <system_error>
 #include <thread>
 #include <typeinfo>
 
@@ -126,24 +127,36 @@ runOnPool(const std::vector<Task>& tasks, std::size_t num_workers,
     std::vector<TaskOutcome> outcomes(tasks.size());
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
-
-    if (num_workers <= 1) {
+    const auto work = [&] {
         workerLoop(tasks, next, outcomes, stop, timeout_seconds,
                    on_complete, retry);
-        return outcomes;
-    }
+    };
 
+    // The calling thread is one of the workers: it would only block in
+    // join() otherwise, and a lone task then runs right here.
     const std::size_t n = std::min(num_workers, tasks.size());
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) {
-        workers.emplace_back([&] {
-            workerLoop(tasks, next, outcomes, stop, timeout_seconds,
-                       on_complete, retry);
-        });
+    std::vector<std::thread> helpers;
+    helpers.reserve(n);
+    for (std::size_t w = 1; w < n; ++w) {
+        try {
+            helpers.emplace_back(work);
+        } catch (const std::system_error&) {
+            break;  // Short-handed: the caller's loop takes the rest.
+        }
     }
-    for (std::thread& t : workers) {
+    // Only a throwing on_complete can escape the caller's loop; the
+    // helpers still use this frame's state, so join them first.
+    std::exception_ptr hook_error;
+    try {
+        work();
+    } catch (...) {
+        hook_error = std::current_exception();
+    }
+    for (std::thread& t : helpers) {
         t.join();
+    }
+    if (hook_error) {
+        std::rethrow_exception(hook_error);
     }
     return outcomes;
 }

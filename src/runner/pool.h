@@ -111,9 +111,10 @@ using TaskCallback =
  * with the task indices (order-independent of execution order).
  *
  * @param tasks the work items; each is invoked exactly once.
- * @param num_workers worker threads; 0 or 1 runs inline on the
- *   calling thread (no threads spawned), useful for determinism
- *   baselines.
+ * @param num_workers threads that run tasks, the calling thread among
+ *   them: min(num_workers, tasks.size()) - 1 threads are spawned. So
+ *   0 or 1 worker, or a single task, runs inline on the calling
+ *   thread, useful for determinism baselines.
  * @param timeout_seconds per-task wall-clock deadline; <= 0 disables.
  *   A task whose wall time exceeds the deadline is reported as
  *   kTimeout whether or not it polled the token.

@@ -4,6 +4,7 @@
 // bit-identity (the property fleet checkpoints ride on). The
 // synthesis / hot-swap halves run against the real hardware layer in
 // tests/fleet/fleet_adapt_test.cpp.
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -136,6 +137,51 @@ TEST(OnlineAdapterTest, WalksToSynthReadyOnPlantShift)
         }
     }
     EXPECT_TRUE(saw_drift);
+}
+
+TEST(OnlineAdapterTest, ThrowingSynthesisDisablesTheAdapter)
+{
+    sysid::IoData data = trainingData();
+    sysid::ArxModel shipped = sysid::identifyArx(data, 0.5, {1, 1, 1e-8});
+    // The synthesizer rejects a zero guardband with an exception; the
+    // drift walk before it never reads the guardband.
+    LayerSpec spec = sisoSpec();
+    spec.guardband = 0.0;
+    OnlineAdapter adapter(spec, 0, shipped, data, fastOptions());
+    obs::TraceSink sink("adapt-test");
+    adapter.setTraceSink(&sink);
+
+    Plant plant;
+    drive(adapter, plant, 100, 2);
+    plant.b1 = 1.0;
+    drive(adapter, plant, 100, 3);
+    ASSERT_EQ(adapter.phase(), OnlineAdapter::Phase::kSynthReady);
+
+    bool ok = true;
+    EXPECT_NO_THROW(ok = adapter.synthesize());
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(adapter.phase(), OnlineAdapter::Phase::kDisabled);
+    EXPECT_FALSE(adapter.synthesisDue());
+    EXPECT_EQ(adapter.syntheses(), 1);
+
+    // Disabled for good: a second dispatch is a no-op.
+    EXPECT_FALSE(adapter.synthesize());
+    EXPECT_EQ(adapter.phase(), OnlineAdapter::Phase::kDisabled);
+    EXPECT_EQ(adapter.syntheses(), 1);
+
+    // One synthesis event, ok=0, carrying the synthesizer's message.
+    int events = 0;
+    for (const obs::TraceEvent& ev : sink.events()) {
+        if (ev.layer() != "adapt" || ev.kind() != "synthesis") {
+            continue;
+        }
+        ++events;
+        std::map<std::string, std::string> fields(ev.fields().begin(),
+                                                  ev.fields().end());
+        EXPECT_EQ(fields["ok"], "0");
+        EXPECT_NE(fields["error"].find("guardband"), std::string::npos);
+    }
+    EXPECT_EQ(events, 1);
 }
 
 TEST(OnlineAdapterTest, SaveLoadRoundTripIsBitExactMidPhase)

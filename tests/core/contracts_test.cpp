@@ -69,6 +69,10 @@ TEST(Contracts, MessagePartsNotEvaluatedOnSuccess)
     YUKTA_ENSURE(true, expensive());
     YUKTA_CHECK_FINITE(1.0, expensive());
     EXPECT_EQ(calls, 0);
+    // The counter does count. This call also keeps the lambda used
+    // when the contract macros expand to nothing (checks off).
+    EXPECT_STREQ(expensive(), "context");
+    EXPECT_EQ(calls, 1);
 }
 
 TEST(Contracts, DescribeConcatenatesParts)

@@ -4,7 +4,15 @@
 // digests), checkpoints carry the adapter (RLS, CUSUM, swapped
 // controller text) across the swap, and restore refuses an
 // adaptation-armed mismatch.
+#include <stdlib.h>
+
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +23,7 @@
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
 #include "fleet/fleet.h"
+#include "support/scratch_dir.h"
 
 namespace {
 
@@ -102,6 +111,77 @@ TEST(FleetAdapt, HotSwapRunsEndToEndAcrossWorkerCounts)
         EXPECT_EQ(events[1].to, SupervisorMode::kNominal);
     }
     EXPECT_EQ(digests[0], digests[1]);
+}
+
+/** Points YUKTA_CACHE_DIR at @p dir until destruction, then restores it. */
+class CacheDirOverride
+{
+  public:
+    explicit CacheDirOverride(const std::filesystem::path& dir)
+    {
+        // yukta-audit: allow(getenv) saved only to be restored
+        if (const char* old = std::getenv("YUKTA_CACHE_DIR")) {
+            saved_ = old;
+        }
+        setenv("YUKTA_CACHE_DIR", dir.c_str(), 1);
+    }
+
+    ~CacheDirOverride()
+    {
+        if (saved_) {
+            setenv("YUKTA_CACHE_DIR", saved_->c_str(), 1);
+        } else {
+            unsetenv("YUKTA_CACHE_DIR");
+        }
+    }
+
+    CacheDirOverride(const CacheDirOverride&) = delete;
+    CacheDirOverride& operator=(const CacheDirOverride&) = delete;
+
+  private:
+    std::optional<std::string> saved_;
+};
+
+/** @return entry name -> bytes of every design-cache entry in @p dir. */
+std::map<std::string, std::string>
+cacheEntries(const std::filesystem::path& dir)
+{
+    std::map<std::string, std::string> entries;
+    // yukta-audit: allow(dir-iter) keyed by name in a std::map
+    for (const auto& f : std::filesystem::directory_iterator(dir)) {
+        if (f.path().extension() != ".txt") {
+            continue;
+        }
+        std::ifstream is(f.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << is.rdbuf();
+        entries[f.path().stem().string()] = bytes.str();
+    }
+    return entries;
+}
+
+// The re-synthesis itself, not a cache hit, must not know how many
+// threads ran its mu sweeps: each worker count synthesizes into its
+// own empty cache (HotSwapRunsEndToEndAcrossWorkerCounts's 4-worker
+// run is served by the cache its 1-worker run filled).
+TEST(FleetAdapt, ColdResynthesisIsBitIdenticalAcrossWorkerCounts)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    std::vector<std::uint64_t> digests;
+    std::vector<std::map<std::string, std::string>> entries;
+    for (std::size_t workers : {1, 4}) {
+        const yukta::testsupport::ScratchDir cache("yukta_fleet_cold");
+        const CacheDirOverride redirect(cache.path());
+        FleetSim sim(adaptConfig(true, true), artifacts);
+        const FleetMetrics m = sim.run(workers);
+        EXPECT_EQ(m.adapt.cache_hits, 0) << workers << " workers";
+        EXPECT_GE(m.adapt.syntheses, 1) << workers << " workers";
+        digests.push_back(m.digest());
+        entries.push_back(cacheEntries(cache.path()));
+        EXPECT_FALSE(entries.back().empty()) << workers << " workers";
+    }
+    EXPECT_EQ(digests[0], digests[1]);
+    EXPECT_EQ(entries[0], entries[1]);
 }
 
 // On the plant the shipped model describes, the armed loop must be

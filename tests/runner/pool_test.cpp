@@ -40,6 +40,70 @@ TEST(Pool, RunsEveryTaskExactlyOnceAtAnyWorkerCount)
     }
 }
 
+TEST(Pool, SingleTaskRunsOnTheCallingThread)
+{
+    // The caller is one of the workers, so a lone task (the fleet's
+    // lone due synthesis) needs no thread of its own.
+    std::thread::id ran_on;
+    std::vector<Task> tasks;
+    tasks.push_back(
+        [&](const CancelToken&) { ran_on = std::this_thread::get_id(); });
+    auto outcomes = runOnPool(tasks, 4);
+    EXPECT_EQ(outcomes[0].status, TaskOutcome::Status::kOk);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(Pool, AtMostNumWorkersDistinctThreadsRunTasks)
+{
+    for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+        std::mutex mutex;
+        std::set<std::thread::id> threads;
+        std::vector<Task> tasks;
+        for (int i = 0; i < 32; ++i) {
+            tasks.push_back([&](const CancelToken&) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                std::lock_guard<std::mutex> lock(mutex);
+                threads.insert(std::this_thread::get_id());
+            });
+        }
+        runOnPool(tasks, workers);
+        EXPECT_GE(threads.size(), 1u);
+        EXPECT_LE(threads.size(), workers);
+        if (workers == 1) {
+            EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+        }
+    }
+}
+
+TEST(Pool, ThrowingHookOnTheCallingThreadJoinsHelpersFirst)
+{
+    // Two tasks that each wait until both workers are inside one, so
+    // the caller and the helper run one task each.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> entered{0};
+    std::atomic<int> finished{0};
+    std::vector<Task> tasks;
+    for (int i = 0; i < 2; ++i) {
+        tasks.push_back([&](const CancelToken&) {
+            entered.fetch_add(1);
+            while (entered.load() < 2) {
+                std::this_thread::yield();
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            finished.fetch_add(1);
+        });
+    }
+    EXPECT_THROW(runOnPool(tasks, 2, 0.0,
+                           [&](std::size_t, const TaskOutcome&) {
+                               if (std::this_thread::get_id() == caller) {
+                                   throw std::runtime_error("hook");
+                               }
+                           }),
+                 std::runtime_error);
+    // The helper's task finished before the error left runOnPool.
+    EXPECT_EQ(finished.load(), 2);
+}
+
 TEST(Pool, OneThrowingTaskDoesNotKillTheSweep)
 {
     std::vector<Task> tasks;

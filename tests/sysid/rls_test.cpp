@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstddef>
 #include <deque>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -45,7 +46,12 @@ IoData simulateSegments(
     }
     auto u = prbs(total, -1.0, 1.0, 3, 0xBEEF + seed);
     std::mt19937 rng(seed);
-    std::normal_distribution<double> dist(0.0, noise);
+    // Built only for noisy data: a normal_distribution's stddev must be
+    // positive.
+    std::optional<std::normal_distribution<double>> dist;
+    if (noise > 0.0) {
+        dist.emplace(0.0, noise);
+    }
     double y1 = 0.0;
     double y2 = 0.0;
     double u1 = 0.0;
@@ -55,8 +61,8 @@ IoData simulateSegments(
         const Coeffs& c = seg.second;
         for (std::size_t s = 0; s < seg.first; ++s, ++t) {
             double y = c.a1 * y1 + c.a2 * y2 + c.b1 * u1 + c.b2 * u2;
-            if (noise > 0.0) {
-                y += dist(rng);
+            if (dist) {
+                y += (*dist)(rng);
             }
             data.u.push_back(Vector{u[t]});
             data.y.push_back(Vector{y});

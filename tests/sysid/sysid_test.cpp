@@ -1,4 +1,6 @@
 #include <cmath>
+#include <optional>
+#include <random>
 #include <set>
 #include <stdexcept>
 
@@ -70,15 +72,20 @@ simulateKnownSystem(std::size_t steps, double noise, unsigned seed)
     IoData data;
     auto u = prbs(steps, -1.0, 1.0, 3, 0xBEEF + seed);
     std::mt19937 rng(seed);
-    std::normal_distribution<double> dist(0.0, noise);
+    // Built only for noisy data: a normal_distribution's stddev must be
+    // positive.
+    std::optional<std::normal_distribution<double>> dist;
+    if (noise > 0.0) {
+        dist.emplace(0.0, noise);
+    }
     double y1 = 0.0;
     double y2 = 0.0;
     double u1 = 0.0;
     double u2 = 0.0;
     for (std::size_t t = 0; t < steps; ++t) {
         double y = 0.6 * y1 - 0.1 * y2 + 0.5 * u1 + 0.2 * u2;
-        if (noise > 0.0) {
-            y += dist(rng);
+        if (dist) {
+            y += (*dist)(rng);
         }
         data.u.push_back(Vector{u[t]});
         data.y.push_back(Vector{y});
