@@ -2,12 +2,13 @@
  * @file
  * Microbenchmark: batched (Hessenberg) vs pointwise (dense csolve)
  * frequency response, a matmul micro-section sizing the sparsity-skip
- * payoff, and the mu sweep at 1, 2 and 4 worker threads. Timings are
- * recorded through the observability machinery (YUKTA_PROFILE_SCOPE
- * -> MetricsRegistry histograms; this translation unit defines
- * YUKTA_TRACE, and the mu sweep is timed best-of-N with
- * obs::Stopwatch) and emitted as BENCH_micro_freq.json so the speedup
- * trajectory is tracked in-repo.
+ * payoff, the mu sweep at 1, 2 and 4 worker threads, and the pinned
+ * D-K synthesis at 1 and 2 rounds. Timings are recorded through the
+ * observability machinery (YUKTA_PROFILE_SCOPE -> MetricsRegistry
+ * histograms; this translation unit defines YUKTA_TRACE, and the mu
+ * sweep and D-K runs are timed best-of-N with obs::Stopwatch) and
+ * emitted as BENCH_micro_freq.json so the speedup trajectory is
+ * tracked in-repo.
  *
  * The bench is correctness-checked: it exits non-zero when the
  * batched engine disagrees with the pointwise oracle beyond 1e-10
@@ -206,7 +207,7 @@ runMatmul(std::size_t n, int reps)
 
 /** The small SSV spec of tests/robust/dk_pin_test.cpp. */
 yukta::robust::SsvSpec
-pinnedSpec()
+pinnedSpec(int iterations)
 {
     Matrix a{{0.6, 0.1}, {0.05, 0.7}};
     Matrix b{{0.5, 0.1, 0.1}, {0.1, 0.4, 0.05}};
@@ -223,7 +224,7 @@ pinnedSpec()
     spec.out_range = {2.0, 1.5};
     spec.guardband = 0.4;
     spec.max_order = 12;
-    spec.dk.max_iterations = 1;
+    spec.dk.max_iterations = iterations;
     spec.dk.mu_grid = 12;
     spec.dk.bisection_steps = 8;
     return spec;
@@ -258,14 +259,17 @@ struct SweepResult
 };
 
 /**
- * Times the 12-point mu sweep of the pinned D-K closed loop (the sweep
- * dkSynthesize runs) at 1, 2 and 4 workers, best of @p reps each, and
- * compares every result with the serial one bit for bit.
+ * Times the 12-point mu sweep of the pinned D-K closed loop at 1, 2
+ * and 4 workers, best of @p reps each, and compares every result with
+ * the serial one bit for bit. It stands for ssvSynthesize's
+ * certification sweep of the shipped loop (same grid and blocks), the
+ * one sweep the single-round recipe still runs; designSsvLayer runs
+ * it on every hardware thread.
  */
 std::vector<SweepResult>
 runMuSweeps(int reps)
 {
-    const yukta::robust::SsvSpec spec = pinnedSpec();
+    const yukta::robust::SsvSpec spec = pinnedSpec(1);
     const yukta::robust::PlantPartition part =
         yukta::robust::ssvPartition(spec);
     const yukta::robust::BlockStructure structure =
@@ -297,6 +301,47 @@ runMuSweeps(int reps)
             } else {
                 r.identical = r.identical && sameSweep(sweep, serial);
             }
+        }
+        out.push_back(r);
+    }
+    return out;
+}
+
+struct DkRun
+{
+    int iterations = 0;
+    double best_s = 0.0;
+};
+
+/**
+ * Times the pinned dkSynthesize at 1 and 2 rounds, serial, best of
+ * @p reps each. A single round sweeps no mu; two rounds sweep both
+ * loops (to fit D, then to compare).
+ *
+ * @return the runs, or an empty list when a synthesis fails.
+ */
+std::vector<DkRun>
+runDk(int reps)
+{
+    std::vector<DkRun> out;
+    for (int iterations : {1, 2}) {
+        const yukta::robust::SsvSpec spec = pinnedSpec(iterations);
+        const StateSpace pc =
+            yukta::robust::buildGeneralizedPlant(spec, true);
+        DkRun r;
+        r.iterations = iterations;
+        for (int rep = 0; rep < reps; ++rep) {
+            const yukta::obs::Stopwatch watch;
+            const auto dk = yukta::robust::dkSynthesize(
+                pc, yukta::robust::ssvPartition(spec),
+                yukta::robust::ssvBlockStructure(spec), spec.dk);
+            const double s = watch.seconds();
+            if (!dk) {
+                std::cerr << "dk: the pinned synthesis failed at "
+                          << iterations << " rounds\n";
+                return {};
+            }
+            r.best_s = rep == 0 ? s : std::min(r.best_s, s);
         }
         out.push_back(r);
     }
@@ -366,6 +411,16 @@ main(int argc, char** argv)
         }
     }
 
+    const std::vector<DkRun> dk_runs = runDk(sweep_reps);
+    if (dk_runs.empty()) {
+        ok = false;
+    }
+    for (const DkRun& r : dk_runs) {
+        std::printf("dk, 12-point grid, %d round%s: best %9.3f ms\n",
+                    r.iterations, r.iterations == 1 ? " " : "s",
+                    r.best_s * 1e3);
+    }
+
     std::ofstream json(out_path);
     json << "{\n  \"bench\": \"micro_freq\",\n"
          << "  \"grid_points\": " << grid_points << ",\n"
@@ -405,6 +460,17 @@ main(int argc, char** argv)
                       r.best_s > 0.0 ? sweeps[0].best_s / r.best_s : 0.0,
                       r.identical ? "true" : "false",
                       i + 1 < sweeps.size() ? "," : "");
+        json << buf;
+    }
+    json << "  ]},\n  \"dk\": {\"mu_grid\": 12, \"reps\": " << sweep_reps
+         << ", \"runs\": [\n";
+    for (std::size_t i = 0; i < dk_runs.size(); ++i) {
+        const DkRun& r = dk_runs[i];
+        char buf[96];
+        std::snprintf(buf, sizeof buf,
+                      "    {\"max_iterations\": %d, \"best_ms\": %.3f}%s\n",
+                      r.iterations, r.best_s * 1e3,
+                      i + 1 < dk_runs.size() ? "," : "");
         json << buf;
     }
     json << "  ]}\n}\n";

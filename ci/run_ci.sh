@@ -14,8 +14,7 @@
 #      suite under ASan/UBSan with YUKTA_CI_ASAN=1),
 #   5. optionally (YUKTA_CI_COVERAGE=1, the GitHub coverage job sets
 #      it), a -DYUKTA_COVERAGE=ON build + ctest and the gcov
-#      line-coverage floor on src/controllers, fault, sysid, core,
-#      runner and platform.
+#      line-coverage floor on every src/ layer.
 #
 # Usage: ci/run_ci.sh [jobs]
 set -euo pipefail

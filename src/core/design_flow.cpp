@@ -1,6 +1,8 @@
 #include "core/design_flow.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "control/lqg.h"
 #include "core/cache.h"
@@ -98,9 +100,12 @@ designSsvLayer(const LayerSpec& spec, const sysid::IoData& data,
 
     // Step 4: mu-synthesis from the spec. The text form is an exact
     // round trip, so a fresh synthesis and a cache hit yield the same
-    // bits.
-    auto res = resynthesizeSsvLayer(spec, design.model, num_external,
-                                    options.dk, options.cache_key);
+    // bits. Offline, the mu sweeps get every hardware thread: the
+    // synthesis itself stays on this thread, and the result is the
+    // same for any worker count.
+    auto res = resynthesizeSsvLayer(
+        spec, design.model, num_external, options.dk, options.cache_key,
+        std::max(1u, std::thread::hardware_concurrency()));
     auto ctrl = res ? ssvControllerFromText(res->controller_text)
                     : std::nullopt;
     if (!ctrl) {

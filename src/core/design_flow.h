@@ -54,7 +54,9 @@ struct DesignOptions
  * @param data identification records; u columns ordered
  *   [actuated inputs..., external signals...].
  * @param num_external trailing external-signal columns in data.u.
- * @return the design, or std::nullopt when synthesis fails.
+ * @return the design, or std::nullopt when synthesis fails. A fresh
+ *   synthesis runs its mu sweeps on every hardware thread
+ *   (resynthesizeSsvLayer's workers); the design does not depend on it.
  */
 std::optional<LayerDesign> designSsvLayer(const LayerSpec& spec,
                                           const sysid::IoData& data,

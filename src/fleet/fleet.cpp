@@ -398,9 +398,12 @@ FleetSim::stepAdaptation(std::size_t workers, double t0)
     // Dispatch due re-syntheses on the pool. Each task is board-local
     // and deterministic, so the outcome is independent of worker count
     // and scheduling. The run's workers are split evenly between the
-    // due syntheses for their mu sweeps; a lone one runs on this
-    // thread with all of them. A failed synthesis disables that
-    // board's adapter (kDisabled) without throwing, never the run.
+    // due syntheses for their mu sweeps (with the one-round D-K
+    // recipe, only the certification sweep); a lone one runs on this
+    // thread with all of them. These follow the run's workers, not
+    // the hardware threads the offline design flow uses (DESIGN.md
+    // §16). A failed synthesis disables that board's adapter
+    // (kDisabled) without throwing, never the run.
     std::vector<core::OnlineAdapter*> due;
     for (const auto& fbp : boards_) {
         FleetBoard& fb = *fbp;
@@ -720,7 +723,7 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
                     if (hung && block_on_hang) {
                         // Model the stall: this worker wedges until
                         // the watchdog deadline fires.
-                        while (!token.deadlinePassed()) {
+                        while (!token.expired()) {
                             std::this_thread::yield();
                         }
                     }

@@ -7,6 +7,7 @@
 #include "core/contracts.h"
 #include "linalg/matrix.h"
 #include "obs/profile.h"
+#include "robust/mu.h"
 
 namespace yukta::robust {
 
@@ -64,6 +65,7 @@ dkSynthesize(const StateSpace& p, const PlantPartition& part,
 
     std::vector<double> d(structure.numBlocks(), 1.0);
     std::optional<DkResult> best;
+    double best_peak = 0.0;
 
     for (int iter = 0; iter < options.max_iterations; ++iter) {
         StateSpace scaled = scalePlant(p, part, structure, d);
@@ -79,19 +81,18 @@ dkSynthesize(const StateSpace& p, const PlantPartition& part,
         if (!n.isStable(1e-9)) {
             break;
         }
+        // A lone round has no best to beat and no next D to fit, so
+        // nothing would read its sweep: it is the result as it stands.
+        if (!best && iter + 1 == options.max_iterations) {
+            best = DkResult{kres->k, kres->gamma, iter + 1};
+            break;
+        }
         MuSweep sweep =
             muFrequencySweep(n, structure, options.mu_grid, workers);
 
-        if (!best || sweep.peak < best->mu_peak) {
-            DkResult r;
-            r.k = kres->k;
-            r.mu_peak = sweep.peak;
-            r.min_s = sweep.peak > 0.0 ? 1.0 / sweep.peak : 1e300;
-            r.gamma = kres->gamma;
-            r.d_scales = d;
-            r.sweep = sweep;
-            r.iterations = iter + 1;
-            best = std::move(r);
+        if (!best || sweep.peak < best_peak) {
+            best = DkResult{kres->k, kres->gamma, iter + 1};
+            best_peak = sweep.peak;
         }
 
         // Constant-D fit: adopt the optimal scalings at the peak

@@ -11,11 +11,9 @@
  */
 
 #include <optional>
-#include <vector>
 
 #include "control/state_space.h"
 #include "robust/hinf.h"
-#include "robust/mu.h"
 #include "robust/uncertainty.h"
 
 namespace yukta::robust {
@@ -30,16 +28,17 @@ struct DkOptions
     int bisection_steps = 20;     ///< Gamma bisection iterations.
 };
 
-/** Result of a mu-synthesis run. */
+/**
+ * Result of a mu-synthesis run. It carries no SSV certificate: the
+ * caller certifies the controller it ships (ssvSynthesize sweeps the
+ * discretized, possibly reduced loop), and a single-round run sweeps
+ * nothing at all.
+ */
 struct DkResult
 {
-    control::StateSpace k;          ///< Controller (y -> u).
-    double mu_peak = 0.0;           ///< Certified SSV upper-bound peak.
-    double min_s = 0.0;             ///< 1 / mu_peak (paper's min(s)).
-    double gamma = 0.0;             ///< Final K-step gamma.
-    std::vector<double> d_scales;   ///< Final constant D scalings.
-    MuSweep sweep;                  ///< Final mu sweep of the loop.
-    int iterations = 0;             ///< Rounds actually run.
+    control::StateSpace k;  ///< Controller (y -> u).
+    double gamma = 0.0;     ///< K-step gamma of k's round.
+    int iterations = 0;     ///< k's round, counted from 1.
 };
 
 /**
@@ -47,6 +46,12 @@ struct DkResult
  * are ordered [d_1..d_k, w_perf | u] -> [f_1..f_k, z_perf | y], with
  * @p structure listing the uncertainty blocks followed by one
  * performance block.
+ *
+ * Round i sweeps mu over its closed loop only when a later step reads
+ * the sweep: when i > 0 (to compare with the best round so far) or
+ * i + 1 < max_iterations (to fit the next round's D). So with
+ * max_iterations = 1 no mu is computed, and the controller is the
+ * first round's K once its loop is stable.
  *
  * @param p generalized plant (discrete or continuous).
  * @param part H-infinity partition: nw = all perturbation+performance
@@ -56,8 +61,8 @@ struct DkResult
  * @param workers threads for each mu sweep (muFrequencySweep). Not an
  *   option: it changes no bit of the result, and DkOptions is part of
  *   the design-cache key.
- * @return best controller with its SSV certificate, or std::nullopt
- *   when no stabilizing controller is found at any gamma.
+ * @return the controller of the round with the lowest mu peak, or
+ *   std::nullopt when no stabilizing controller is found at any gamma.
  */
 std::optional<DkResult> dkSynthesize(const control::StateSpace& p,
                                      const PlantPartition& part,

@@ -118,8 +118,9 @@ BlockStructure ssvBlockStructure(const SsvSpec& spec);
 /**
  * Synthesizes the layer's SSV controller.
  *
- * @param workers threads for the D-K and certification mu sweeps;
- *   the result is bit-identical for every value.
+ * @param workers threads for the mu sweeps: the certification sweep
+ *   of the shipped loop, and D-K's own when it runs more than one
+ *   round. The result is bit-identical for every value.
  * @return the controller and certificate, or std::nullopt when no
  *   stabilizing design exists within the gamma budget.
  * @throws std::invalid_argument on inconsistent specifications.

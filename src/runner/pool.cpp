@@ -1,6 +1,7 @@
 #include "runner/pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -28,8 +29,7 @@ using Clock = std::chrono::steady_clock;
  */
 void
 workerLoop(const std::vector<Task>& tasks, std::atomic<std::size_t>& next,
-           std::vector<TaskOutcome>& outcomes,
-           const std::atomic<bool>& stop, double timeout_seconds,
+           std::vector<TaskOutcome>& outcomes, double timeout_seconds,
            const TaskCallback& on_complete, const RetryPolicy& retry)
 {
     for (;;) {
@@ -44,7 +44,8 @@ workerLoop(const std::vector<Task>& tasks, std::atomic<std::size_t>& next,
             has_deadline ? start + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double>(timeout_seconds))
                          : Clock::time_point{};
-        CancelToken token(&stop, deadline, has_deadline);
+        const CancelToken token =
+            has_deadline ? CancelToken(deadline) : CancelToken();
         const int max_attempts = std::max(1, retry.max_attempts);
         for (;;) {
             ++out.attempts;
@@ -126,10 +127,9 @@ runOnPool(const std::vector<Task>& tasks, std::size_t num_workers,
 {
     std::vector<TaskOutcome> outcomes(tasks.size());
     std::atomic<std::size_t> next{0};
-    std::atomic<bool> stop{false};
     const auto work = [&] {
-        workerLoop(tasks, next, outcomes, stop, timeout_seconds,
-                   on_complete, retry);
+        workerLoop(tasks, next, outcomes, timeout_seconds, on_complete,
+                   retry);
     };
 
     // The calling thread is one of the workers: it would only block in

@@ -10,7 +10,6 @@
  * reported in its outcome instead of killing the sweep.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -20,41 +19,30 @@
 namespace yukta::runner {
 
 /**
- * Cooperative cancellation handle passed to every pool task. Long
- * tasks should poll expired() at convenient boundaries (e.g. once per
- * simulated control period) and return early when it fires.
+ * Cooperative cancellation handle passed to every pool task: the
+ * task's deadline. Long tasks should poll expired() at convenient
+ * boundaries (e.g. once per simulated control period) and return early
+ * when it fires.
  */
 class CancelToken
 {
   public:
+    /** A token that never expires. */
     CancelToken() = default;
-    /** Wraps the pool's stop flag and an optional deadline. */
-    CancelToken(const std::atomic<bool>* stop,
-                std::chrono::steady_clock::time_point deadline,
-                bool has_deadline)
-        : stop_(stop), deadline_(deadline), has_deadline_(has_deadline)
+    /** A token that expires at @p deadline. */
+    explicit CancelToken(std::chrono::steady_clock::time_point deadline)
+        : deadline_(deadline), has_deadline_(true)
     {
     }
 
-    /** True once the pool is shutting down or the deadline passed. */
+    /** True once the task's deadline has passed. */
     bool expired() const
-    {
-        if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
-            return true;
-        }
-        return has_deadline_ &&
-               std::chrono::steady_clock::now() >= deadline_;
-    }
-
-    /** True when only the per-task deadline (not shutdown) fired. */
-    bool deadlinePassed() const
     {
         return has_deadline_ &&
                std::chrono::steady_clock::now() >= deadline_;
     }
 
   private:
-    const std::atomic<bool>* stop_ = nullptr;
     std::chrono::steady_clock::time_point deadline_{};
     bool has_deadline_ = false;
 };
@@ -84,10 +72,10 @@ std::string exceptionTypeName(const std::exception& e);
 
 /**
  * Bounded retry for transient task failures. Only kError outcomes are
- * retried (a timeout would just time out again, and retrying past the
- * pool's stop flag would stall shutdown); the task body must therefore
- * be idempotent. Backoff is linear: attempt k sleeps
- * k * backoff_seconds before re-entering the body.
+ * retried, and none once the task's deadline has passed (a timeout
+ * would just time out again); the task body must therefore be
+ * idempotent. Backoff is linear: attempt k sleeps k * backoff_seconds
+ * before re-entering the body.
  */
 struct RetryPolicy
 {

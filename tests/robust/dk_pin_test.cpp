@@ -10,6 +10,9 @@
 // vs dense LU arithmetic) legitimately shifts K by ~1e-12 relative
 // while gamma and the certified bounds stay put — that path is
 // covered by the looser gamma assertion below.
+//
+// DkResult carries no certificate (a single round sweeps nothing), so
+// each test recomputes the mu peak of the returned K's loop itself.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -17,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include "control/interconnect.h"
 #include "robust/dk.h"
+#include "robust/mu.h"
 #include "robust/ssv_design.h"
 
 namespace {
@@ -85,6 +90,22 @@ synthesize(int iterations)
         yukta::robust::ssvBlockStructure(spec), spec.dk);
 }
 
+/** The mu peak of @p k's loop: the sweep dkSynthesize would run. */
+double
+muPeak(const StateSpace& k)
+{
+    const yukta::robust::SsvSpec spec = pinnedSpec(1);
+    const yukta::robust::PlantPartition part =
+        yukta::robust::ssvPartition(spec);
+    const StateSpace loop = yukta::control::lftLower(
+        yukta::robust::buildGeneralizedPlant(spec, true), k, part.nz,
+        part.nw);
+    return yukta::robust::muFrequencySweep(
+               loop, yukta::robust::ssvBlockStructure(spec),
+               spec.dk.mu_grid)
+        .peak;
+}
+
 TEST(DkPin, SingleIterationControllerIsBitIdenticalToPrePr)
 {
     auto dk = synthesize(1);
@@ -105,9 +126,10 @@ TEST(DkPin, SingleIterationControllerIsBitIdenticalToPrePr)
         << "controller bits drifted from the pre-batched-engine "
            "baseline; canon=" << canon;
     EXPECT_EQ(dk->gamma, 5.8841650536166137);
+    EXPECT_EQ(dk->iterations, 1);
     // The mu certificate may move in its last bits (batched sweep
     // arithmetic) but not at any meaningful precision.
-    EXPECT_NEAR(dk->mu_peak, 3.4952599793293251, 1e-9);
+    EXPECT_NEAR(muPeak(dk->k), 3.4952599793293251, 1e-9);
 }
 
 TEST(DkPin, TwoIterationGammaIsPreserved)
@@ -117,8 +139,15 @@ TEST(DkPin, TwoIterationGammaIsPreserved)
     // Iteration 2 consumes mu-sweep D-scales, so K's bits may shift
     // at roundoff level; the synthesis outcome must not.
     EXPECT_EQ(dk->gamma, 3.4826209944140172);
-    EXPECT_NEAR(dk->mu_peak, 3.477454448934834, 1e-7);
+    const double peak = muPeak(dk->k);
+    EXPECT_NEAR(peak, 3.477454448934834, 1e-7);
     EXPECT_EQ(dk->k.numStates(), 8u);
+    // The second round is kept because its K certifies a lower peak
+    // than the single-round K.
+    EXPECT_EQ(dk->iterations, 2);
+    auto single = synthesize(1);
+    ASSERT_TRUE(single.has_value());
+    EXPECT_LT(peak, muPeak(single->k));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "control/interconnect.h"
 #include "linalg/test_util.h"
 #include "robust/dk.h"
+#include "robust/mu.h"
 #include "robust/ssv_design.h"
 #include "robust/weights.h"
 
@@ -113,6 +114,39 @@ TEST(SsvDesign, SynthesisProducesCertifiedController)
     double inflate = std::max(1.0, ctrl->mu_peak);
     EXPECT_NEAR(ctrl->guaranteed_bounds[0], inflate * 0.4, 1e-12);
     EXPECT_NEAR(ctrl->guaranteed_bounds[1], inflate * 0.3, 1e-12);
+}
+
+TEST(SsvDesign, CertificateIsTheSweepOfTheShippedLoop)
+{
+    // D-K itself certifies nothing it returns (one round sweeps no mu
+    // at all), so the certificate must describe the discretized and
+    // possibly reduced controller that ssvSynthesize ships, against
+    // the designer's declared bounds. Synthesized on two workers and
+    // recomputed serially, so the threads move no bit either.
+    for (int iterations : {1, 2}) {
+        SsvSpec spec = makeTestSpec();
+        spec.dk.max_iterations = iterations;
+        auto ctrl = ssvSynthesize(spec, 2);
+        ASSERT_TRUE(ctrl.has_value()) << iterations << " iterations";
+
+        SsvSpec cert_spec = spec;
+        cert_spec.perf_dc_boost = 1.0;
+        cert_spec.out_boost.clear();
+        const PlantPartition part = ssvPartition(spec);
+        const StateSpace loop =
+            control::lftLower(buildGeneralizedPlant(cert_spec, false),
+                              ctrl->k, part.nz, part.nw);
+        const MuSweep want =
+            muFrequencySweep(loop, ssvBlockStructure(spec), spec.dk.mu_grid);
+
+        EXPECT_EQ(ctrl->sweep.peak, want.peak) << iterations;
+        EXPECT_EQ(ctrl->mu_peak, want.peak) << iterations;
+        ASSERT_EQ(ctrl->sweep.mu.size(), want.mu.size());
+        for (std::size_t i = 0; i < want.mu.size(); ++i) {
+            EXPECT_EQ(ctrl->sweep.mu[i].upper, want.mu[i].upper)
+                << iterations << " iterations, point " << i;
+        }
+    }
 }
 
 TEST(SsvDesign, ClosedLoopTracksTargets)

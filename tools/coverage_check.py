@@ -5,14 +5,17 @@ Walks a -DYUKTA_COVERAGE=ON build tree for .gcda files (so the test
 suite must have run first), asks gcov for JSON intermediate records,
 merges them per source file (a line counts as covered when any
 translation unit executed it), and enforces a floor on the aggregate
-line coverage of the audited directories -- by default the controller
-and fault-injection layers, where an untested branch means an
-unverified degradation path; the system identification layer (RLS +
-drift detection) the online adaptation loop's no-false-swap guarantee
-rests on; the design flow and its cache (src/core), whose keys decide
-whether a stored controller may be served; the sweep engine
-(src/runner); and the simulated board (src/platform), whose derived
-step state must be rebuilt at every point its inputs change.
+line coverage of the audited directories -- by default every src/
+layer: the controller and fault-injection layers, where an untested
+branch means an unverified degradation path; the system
+identification layer (RLS + drift detection) the online adaptation
+loop's no-false-swap guarantee rests on; the design flow and its
+cache (src/core), whose keys decide whether a stored controller may
+be served; the synthesis stack under it (src/robust, src/control,
+src/linalg); the sweep engine (src/runner); the simulated board
+(src/platform), whose derived step state must be rebuilt at every
+point its inputs change; the fleet simulator (src/fleet); and the
+metrics, traces and checkpoint I/O (src/obs).
 
 Usage:
   tools/coverage_check.py --build-dir build-cov [--floor 70]
@@ -29,7 +32,8 @@ import subprocess
 import sys
 
 DEFAULT_PREFIXES = ("src/controllers", "src/fault", "src/sysid", "src/core",
-                    "src/runner", "src/platform")
+                    "src/runner", "src/platform", "src/robust",
+                    "src/control", "src/linalg", "src/obs", "src/fleet")
 
 
 def find_gcda(build_dir):
@@ -139,7 +143,7 @@ def main():
 
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as fh:
-            fh.write("### Line coverage (controllers + fault)\n\n")
+            fh.write(f"### Line coverage ({', '.join(prefixes)})\n\n")
             fh.write("| file | covered | lines | % |\n")
             fh.write("|---|---:|---:|---:|\n")
             for rel, covered, lines, pct in rows:
