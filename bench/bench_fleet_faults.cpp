@@ -15,13 +15,20 @@
  *  - run-to-T must be bit-identical with run-to-T/2, checkpoint,
  *    restore into a fresh process-equivalent sim, run-to-T.
  *
+ * It also reports, without gating, what one checkpoint of its fleet
+ * costs: the bytes written and the best-of-10 save and restore wall
+ * times.
+ *
  * Usage: bench_fleet_faults [--quick] [--out PATH]
  */
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +36,7 @@
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
 #include "fleet/fleet.h"
+#include "obs/stopwatch.h"
 
 namespace {
 
@@ -52,6 +60,44 @@ struct ScenarioResult
     FleetMetrics aware;
     FleetMetrics blind;
 };
+
+/** Timing repetitions behind each checkpoint-cost number. */
+constexpr int kCostRuns = 10;
+
+/** What one fleet checkpoint costs. */
+struct CheckpointCost
+{
+    std::uintmax_t bytes = 0;  ///< File size of one checkpoint.
+    double save_ms = 0.0;      ///< Best saveCheckpoint wall time.
+    double restore_ms = 0.0;   ///< Best restoreCheckpoint wall time.
+};
+
+/**
+ * @return the cost of checkpointing @p sim after restoring the
+ * snapshot at @p mid: kCostRuns saves to @p probe, then kCostRuns
+ * restores from it, best of each.
+ */
+CheckpointCost
+measureCheckpoint(FleetSim& sim, const std::string& mid,
+                  const std::string& probe)
+{
+    sim.restoreCheckpoint(mid);
+    CheckpointCost c;
+    c.save_ms = std::numeric_limits<double>::infinity();
+    c.restore_ms = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kCostRuns; ++i) {
+        const yukta::obs::Stopwatch sw;
+        sim.saveCheckpoint(probe);
+        c.save_ms = std::min(c.save_ms, 1e3 * sw.seconds());
+    }
+    for (int i = 0; i < kCostRuns; ++i) {
+        const yukta::obs::Stopwatch sw;
+        sim.restoreCheckpoint(probe);
+        c.restore_ms = std::min(c.restore_ms, 1e3 * sw.seconds());
+    }
+    c.bytes = std::filesystem::file_size(probe);
+    return c;
+}
 
 FleetConfig
 makeConfig(const Scenario& s, bool aware, int boards,
@@ -247,6 +293,21 @@ main(int argc, char** argv)
                              "run\n");
         ok = false;
     }
+
+    CheckpointCost cost;
+    {
+        FleetSim sim(makeConfig(scenarios[3], true, boards, sim_seconds),
+                     artifacts);
+        cost = measureCheckpoint(
+            sim,
+            (ckpt_dir / ("fleet-" + std::to_string(half) + ".ckpt"))
+                .string(),
+            (ckpt_dir / "probe.ckpt").string());
+    }
+    std::printf("checkpoint cost at epoch %d (best of %d): %ju bytes, "
+                "save %.2f ms, restore %.2f ms\n",
+                half, kCostRuns, cost.bytes, cost.save_ms,
+                cost.restore_ms);
     std::error_code ec;
     std::filesystem::remove_all(ckpt_dir, ec);
 
@@ -275,7 +336,10 @@ main(int argc, char** argv)
          << "\", \"checkpoint_epoch\": " << half
          << ", \"identical\": "
          << (full.digest() == resumed.digest() ? "true" : "false")
-         << "}\n}\n";
+         << "},\n  \"checkpoint_cost\": {\"epoch\": " << half
+         << ", \"bytes\": " << cost.bytes << ", \"best_of\": "
+         << kCostRuns << ", \"save_ms\": " << cost.save_ms
+         << ", \"restore_ms\": " << cost.restore_ms << "}\n}\n";
     std::cout << "wrote " << out_path << "\n";
     return ok ? 0 : 1;
 }

@@ -91,19 +91,23 @@ echo "=== adaptation smoke: drift gates + no-drift/swap identity ==="
 echo "=== crash-resume smoke: checkpoint, resume, digest-compare ==="
 # Simulates an operator crash-recovery: one run checkpoints mid-flight,
 # a second process restores the snapshot with a different worker count
-# and runs to the end. The digests must match the uninterrupted run.
+# and runs to the end. The digests must match the uninterrupted run,
+# both from a numbered snapshot and from the fleet-latest.ckpt alias
+# (epoch 12 here) that README's --resume example uses.
 CKPT_DIR="build/ci-ckpt"
 rm -rf "$CKPT_DIR"
 FLEET_ARGS=(--boards=6 --sim-seconds=8 --seed=3 --supervised
             --faults='board1:crash@2+3;board4:hang@5+1')
 FULL_DIGEST="$(./build/examples/yukta-fleet "${FLEET_ARGS[@]}" \
     --checkpoint-every=6 --checkpoint-dir="$CKPT_DIR" --digest)"
-RESUME_DIGEST="$(./build/examples/yukta-fleet "${FLEET_ARGS[@]}" \
-    --resume="$CKPT_DIR/fleet-6.ckpt" --workers=2 --digest)"
-if [[ "$FULL_DIGEST" != "$RESUME_DIGEST" ]]; then
-    echo "crash-resume smoke FAILED: full $FULL_DIGEST vs resumed $RESUME_DIGEST"
-    exit 1
-fi
+for CKPT in fleet-6.ckpt fleet-latest.ckpt; do
+    RESUME_DIGEST="$(./build/examples/yukta-fleet "${FLEET_ARGS[@]}" \
+        --resume="$CKPT_DIR/$CKPT" --workers=2 --digest)"
+    if [[ "$FULL_DIGEST" != "$RESUME_DIGEST" ]]; then
+        echo "crash-resume smoke FAILED ($CKPT): full $FULL_DIGEST vs resumed $RESUME_DIGEST"
+        exit 1
+    fi
+done
 echo "crash-resume digests match: $FULL_DIGEST"
 
 echo "=== fleet CLI: bad flag values exit 2, never abort ==="

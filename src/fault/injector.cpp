@@ -247,8 +247,8 @@ FaultInjector::dropTick(double t, int period)
 void
 FaultInjector::save(obs::StateWriter& w) const
 {
-    w.rng("inj.rng", rng_);
-    w.rng("inj.jitter", jitter_);
+    w.engine("inj.rng", rng_);
+    w.distribution("inj.jitter", jitter_);
     std::vector<std::uint64_t> latched(latched_.begin(), latched_.end());
     w.u64vec("inj.latched", latched);
     w.u64("inj.latch.n", latch_.size());
@@ -269,8 +269,8 @@ FaultInjector::save(obs::StateWriter& w) const
 void
 FaultInjector::load(obs::StateReader& r)
 {
-    r.rng("inj.rng", rng_);
-    r.rng("inj.jitter", jitter_);
+    r.engine("inj.rng", rng_);
+    r.distribution("inj.jitter", jitter_);
     const auto latched = r.u64vec("inj.latched");
     latched_.assign(latched.begin(), latched.end());
     latch_.resize(r.u64("inj.latch.n"));

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "fault/plan.h"
+#include "obs/mt19937.h"
 #include "obs/stateio.h"
 #include "platform/board.h"
 #include "platform/scheduler.h"
@@ -89,7 +90,7 @@ class FaultInjector
   private:
     obs::TraceSink* trace_ = nullptr;
     FaultPlan plan_;
-    std::mt19937 rng_;
+    obs::Mt19937 rng_;
     std::uniform_real_distribution<double> jitter_{-1.0, 1.0};
     std::vector<char> latched_;  ///< Per-window: latch captured?
     std::vector<platform::SensorReadings> latch_;  ///< Entry snapshots.

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -30,8 +31,13 @@ constexpr double kDefaultDegradeScale = 0.5;
 constexpr double kDefaultDriftScale = 1.8;
 
 /** Bump when the checkpoint layout changes incompatibly.
-    v2: per-board online-adaptation state + board drift fields. */
-constexpr std::uint64_t kCheckpointVersion = 2;
+    v2: per-board online-adaptation state + board drift fields.
+    v3: one-line vectors, engines as state words, histogram bounds as
+    a fingerprint. */
+constexpr std::uint64_t kCheckpointVersion = 3;
+
+/** Body bytes reserved per board before a checkpoint is encoded. */
+constexpr std::size_t kCheckpointBytesPerBoard = 16 * 1024;
 
 /** All boards share these latency bucket bounds so rollups merge. */
 obs::MergeableHistogram
@@ -882,7 +888,7 @@ FleetSim::saveCheckpoint(const std::string& path) const
 std::string
 FleetSim::checkpointBody() const
 {
-    obs::StateWriter w;
+    obs::StateWriter w(kCheckpointBytesPerBoard * boards_.size());
     w.u64("ckpt.version", kCheckpointVersion);
     w.str("ckpt.config", cfg_.canonical());
     w.u64("ckpt.epoch", static_cast<std::uint64_t>(epoch_));
@@ -933,7 +939,7 @@ FleetSim::checkpointBody() const
         }
         fb.system.save(w);
     }
-    std::string body = w.dump();
+    std::string body = w.take();
     body += "ckpt.digest=" + hex64(obs::fnv1a(body)) + "\n";
     return body;
 }
@@ -941,35 +947,43 @@ FleetSim::checkpointBody() const
 void
 FleetSim::restoreCheckpoint(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {
         throw std::runtime_error("FleetSim: cannot read checkpoint " +
                                  path);
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
+    const std::streamoff size = in.tellg();
+    if (size < 0) {
+        throw std::runtime_error("FleetSim: cannot size checkpoint " +
+                                 path);
+    }
+    std::string text(static_cast<std::size_t>(size), '\0');
+    in.seekg(0);
+    if (!in.read(text.data(), size)) {
+        throw std::runtime_error("FleetSim: cannot read checkpoint " +
+                                 path);
+    }
 
-    const std::string tag = "ckpt.digest=";
+    const std::string_view tag = "ckpt.digest=";
     const std::size_t p = text.rfind(tag);
     if (p == std::string::npos) {
         throw std::runtime_error(
             "FleetSim: checkpoint has no digest stamp: " + path);
     }
-    const std::string body = text.substr(0, p);
-    std::string stamp = text.substr(p + tag.size());
+    std::string_view stamp = std::string_view(text).substr(p + tag.size());
     while (!stamp.empty() &&
            (stamp.back() == '\n' || stamp.back() == '\r')) {
-        stamp.pop_back();
+        stamp.remove_suffix(1);
     }
-    if (stamp != hex64(obs::fnv1a(body))) {
+    if (stamp != hex64(obs::fnv1a(std::string_view(text).substr(0, p)))) {
         throw std::runtime_error(
             "FleetSim: checkpoint digest mismatch (corrupt or "
             "truncated): " +
             path);
     }
+    text.resize(p);
 
-    obs::StateReader r(body);
+    obs::StateReader r(std::move(text));
     const std::uint64_t version = r.u64("ckpt.version");
     if (version != kCheckpointVersion) {
         throw std::runtime_error(

@@ -1,6 +1,7 @@
 #include "obs/rollup.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -125,10 +126,30 @@ MergeableHistogram::toJson() const
     return os.str();
 }
 
+namespace {
+
+/** @return FNV-1a over the little-endian bit patterns of @p bounds. */
+std::uint64_t
+boundsFingerprint(const std::vector<double>& bounds)
+{
+    std::string bytes;
+    bytes.reserve(8 * bounds.size());
+    for (const double b : bounds) {
+        auto bits = std::bit_cast<std::uint64_t>(b);
+        for (int i = 0; i < 8; ++i, bits >>= 8) {
+            bytes += static_cast<char>(bits & 0xff);
+        }
+    }
+    return fnv1a(bytes);
+}
+
+}  // namespace
+
 void
 MergeableHistogram::save(StateWriter& w) const
 {
-    w.f64vec("hist.bounds", bounds_);
+    w.u64("hist.bounds", bounds_.size());
+    w.u64("hist.bounds_fnv1a", boundsFingerprint(bounds_));
     w.i64vec("hist.counts", counts_);
     w.i64("hist.count", count_);
     w.f64("hist.sum", sum_);
@@ -139,12 +160,23 @@ MergeableHistogram::save(StateWriter& w) const
 void
 MergeableHistogram::load(StateReader& r)
 {
-    bounds_ = r.f64vec("hist.bounds");
-    counts_ = r.i64vec("hist.counts");
-    if (counts_.size() != bounds_.size() + 1) {
+    const std::uint64_t n = r.u64("hist.bounds");
+    const std::uint64_t fingerprint = r.u64("hist.bounds_fnv1a");
+    const std::uint64_t own = boundsFingerprint(bounds_);
+    if (n != bounds_.size() || fingerprint != own) {
+        throw std::runtime_error(
+            "MergeableHistogram::load: saved bucket bounds (" +
+            std::to_string(n) + ", fingerprint " +
+            std::to_string(fingerprint) + ") differ from this "
+            "histogram's (" + std::to_string(bounds_.size()) +
+            ", fingerprint " + std::to_string(own) + ")");
+    }
+    std::vector<long long> counts = r.i64vec("hist.counts");
+    if (counts.size() != bounds_.size() + 1) {
         throw std::runtime_error(
             "MergeableHistogram::load: bucket count mismatch");
     }
+    counts_ = std::move(counts);
     count_ = r.i64("hist.count");
     sum_ = r.f64("hist.sum");
     min_ = r.f64("hist.min");
@@ -211,7 +243,7 @@ RunningStat::load(StateReader& r)
 }
 
 std::uint64_t
-fnv1a(const std::string& text)
+fnv1a(std::string_view text)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (const char c : text) {

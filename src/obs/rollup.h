@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/stateio.h"
@@ -100,10 +101,19 @@ class MergeableHistogram
      */
     std::string toJson() const;
 
-    /** Appends the full histogram state to @p w. */
+    /**
+     * Appends the histogram state to @p w. The bounds, which the
+     * owner's configuration fixes, go in as their count and an FNV-1a
+     * fingerprint of their bit patterns, not as values.
+     */
     void save(StateWriter& w) const;
 
-    /** Restores state written by save (replaces bounds and counts). */
+    /**
+     * Restores the counts written by save into a histogram built with
+     * the same bounds.
+     * @throws std::runtime_error when this histogram's bounds differ
+     * from the saved one's.
+     */
     void load(StateReader& r);
 
   private:
@@ -150,7 +160,7 @@ struct RunningStat
  * rendering with this to make "bit-identical for 1-vs-N workers"
  * checkable as one integer comparison.
  */
-std::uint64_t fnv1a(const std::string& text);
+std::uint64_t fnv1a(std::string_view text);
 
 }  // namespace yukta::obs
 

@@ -11,12 +11,16 @@
  * (missing field, renamed key, version skew) fails loudly with the
  * offending key instead of silently desynchronizing the simulation.
  *
- * Doubles are encoded as their 16-hex-digit IEEE-754 bit pattern, so
- * a round trip is exact to the bit -- the property the fleet's
- * "run-to-T equals run-to-T/2 + restore" digest gate rests on.
- * Strings are percent-encoded (%, =, CR, LF), which is enough to
- * round-trip the stream representations of <random> engines and
- * distributions.
+ * StateWriter appends every field straight into one std::string, and
+ * StateReader walks that string with one cursor, so neither side
+ * allocates per field. Doubles are encoded as their 16-hex-digit
+ * IEEE-754 bit pattern, so a round trip is exact to the bit -- the
+ * property the fleet's "run-to-T equals run-to-T/2 + restore" digest
+ * gate rests on. A vector is one field, `key=<n>:` followed by its
+ * elements: n fixed-width 16-hex-digit doubles, or n comma-separated
+ * integers. An Mt19937 is one field, `key=<position>:` followed by its
+ * 624 state words as 8 hex digits each. Strings are percent-encoded
+ * (%, =, CR, LF).
  *
  * This lives in obs (the dependency-free base layer) so every layer
  * from platform to fleet can serialize itself without new layer
@@ -27,128 +31,152 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/mt19937.h"
 
 namespace yukta::obs {
 
-/** Appends typed key=value fields to a snapshot body. */
+/** Appends typed key=value fields to one snapshot body. */
 class StateWriter
 {
   public:
+    /** Starts an empty body with @p capacity bytes reserved. */
+    explicit StateWriter(std::size_t capacity = 0);
+
     /** Writes an unsigned integer field. */
-    void u64(const std::string& key, std::uint64_t v);
+    void u64(std::string_view key, std::uint64_t v);
 
     /** Writes a signed integer field. */
-    void i64(const std::string& key, long long v);
+    void i64(std::string_view key, long long v);
 
     /** Writes a boolean field (encoded 0/1). */
-    void boolean(const std::string& key, bool v);
+    void boolean(std::string_view key, bool v);
 
     /** Writes a double as its exact IEEE-754 bit pattern. */
-    void f64(const std::string& key, double v);
+    void f64(std::string_view key, double v);
 
     /** Writes a percent-encoded string field. */
-    void str(const std::string& key, const std::string& v);
+    void str(std::string_view key, std::string_view v);
 
-    /** Writes @p key.n then one f64 field per element. */
-    void f64vec(const std::string& key, const std::vector<double>& v);
+    /** Writes `key=<n>:` then n 16-hex-digit bit patterns. */
+    void f64vec(std::string_view key, const std::vector<double>& v);
 
-    /** Writes @p key.n then one i64 field per element. */
-    void i64vec(const std::string& key, const std::vector<long long>& v);
+    /** Writes `key=<n>:` then n comma-separated integers. */
+    void i64vec(std::string_view key, const std::vector<long long>& v);
 
-    /** Writes @p key.n then one u64 field per element. */
-    void u64vec(const std::string& key,
+    /** Writes `key=<n>:` then n comma-separated integers. */
+    void u64vec(std::string_view key,
                 const std::vector<std::uint64_t>& v);
 
+    /** Writes `key=<position>:` then the 624 state words in hex. */
+    void engine(std::string_view key, const Mt19937& e);
+
     /**
-     * Serializes a <random> engine or distribution through its stream
-     * operator (libstdc++ round-trips both exactly).
+     * Serializes a <random> distribution through its stream operator
+     * (libstdc++ round-trips it exactly, including a normal
+     * distribution's cached second variate). Engines go through
+     * engine(), never through text.
      */
-    template <typename T>
-    void rng(const std::string& key, const T& engine)
+    template <typename D>
+    void distribution(std::string_view key, const D& d)
     {
+        static_assert(requires { typename D::param_type; },
+                      "distribution() takes a <random> distribution; "
+                      "save an engine with engine()");
         std::ostringstream os;
-        os << engine;
+        os << d;
         str(key, os.str());
     }
 
-    /** @return the accumulated snapshot body. */
-    std::string dump() const { return os_.str(); }
+    /** @return the accumulated body, moved out; the writer is empty. */
+    std::string take() { return std::move(buf_); }
 
   private:
-    std::ostringstream os_;
+    std::string buf_;
+
+    /** Appends `key=`. */
+    void begin(std::string_view key);
 };
 
 /**
- * Strictly sequential reader over a StateWriter dump. Each accessor
+ * Strictly sequential reader over a StateWriter body. Each accessor
  * consumes the next line and requires its key to match.
- * @throws std::runtime_error on key mismatch, malformed values, or
- * reading past the end.
+ * @throws std::runtime_error naming the key on key mismatch,
+ * malformed values, or reading past the end.
  */
 class StateReader
 {
   public:
-    /** Parses @p body (a StateWriter dump) into ordered fields. */
-    explicit StateReader(const std::string& body);
+    /** Takes ownership of @p body (a StateWriter body). */
+    explicit StateReader(std::string body);
 
     /** Reads the next field as an unsigned integer. */
-    std::uint64_t u64(const std::string& key);
+    std::uint64_t u64(std::string_view key);
 
     /** Reads the next field as a signed integer. */
-    long long i64(const std::string& key);
+    long long i64(std::string_view key);
 
     /** Reads the next field as a boolean. */
-    bool boolean(const std::string& key);
+    bool boolean(std::string_view key);
 
     /** Reads the next field as an exact double bit pattern. */
-    double f64(const std::string& key);
+    double f64(std::string_view key);
 
     /** Reads the next field as a percent-decoded string. */
-    std::string str(const std::string& key);
+    std::string str(std::string_view key);
 
     /** Reads a f64vec written by StateWriter::f64vec. */
-    std::vector<double> f64vec(const std::string& key);
+    std::vector<double> f64vec(std::string_view key);
 
     /** Reads an i64vec written by StateWriter::i64vec. */
-    std::vector<long long> i64vec(const std::string& key);
+    std::vector<long long> i64vec(std::string_view key);
 
     /** Reads a u64vec written by StateWriter::u64vec. */
-    std::vector<std::uint64_t> u64vec(const std::string& key);
+    std::vector<std::uint64_t> u64vec(std::string_view key);
 
-    /** Restores a <random> engine or distribution from its field. */
-    template <typename T>
-    void rng(const std::string& key, T& engine)
+    /** Restores @p e from a field written by StateWriter::engine. */
+    void engine(std::string_view key, Mt19937& e);
+
+    /** Restores a <random> distribution from its field. */
+    template <typename D>
+    void distribution(std::string_view key, D& d)
     {
+        static_assert(requires { typename D::param_type; },
+                      "distribution() takes a <random> distribution; "
+                      "load an engine with engine()");
         std::istringstream is(str(key));
-        is >> engine;
+        is >> d;
         if (is.fail()) {
-            failKey(key, "unparsable rng state");
+            failKey(key, "unparsable distribution state");
         }
     }
 
     /** @return true when every field has been consumed. */
-    bool atEnd() const { return next_ == fields_.size(); }
-
-    /** @return fields consumed so far (diagnostics). */
-    std::size_t consumed() const { return next_; }
+    bool atEnd() const { return pos_ == body_.size(); }
 
   private:
-    std::vector<std::pair<std::string, std::string>> fields_;
-    std::size_t next_ = 0;
+    std::string body_;
+    std::size_t pos_ = 0;
 
-    const std::string& take(const std::string& key);
-    [[noreturn]] void failKey(const std::string& key,
+    /** @return the value of the next field, which must be @p key. */
+    std::string_view next(std::string_view key);
+
+    /**
+     * @return the count of a `<n>:` vector field and sets @p elems to
+     * the text after the colon.
+     */
+    std::uint64_t counted(std::string_view key, std::string_view v,
+                          std::string_view& elems) const;
+
+    /** Reads a comma-separated integer vector field. */
+    template <typename Int>
+    std::vector<Int> intVec(std::string_view key);
+
+    [[noreturn]] void failKey(std::string_view key,
                               const std::string& why) const;
 };
-
-/** @return @p raw with %, =, CR, and LF percent-encoded. */
-std::string percentEncode(const std::string& raw);
-
-/**
- * @return the percent-decoded form of @p enc.
- * @throws std::runtime_error on a malformed escape.
- */
-std::string percentDecode(const std::string& enc);
 
 }  // namespace yukta::obs
 

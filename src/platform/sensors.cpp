@@ -53,8 +53,8 @@ Sensors::step(double dt, double true_p_big, double true_p_little,
 void
 Sensors::save(obs::StateWriter& w) const
 {
-    w.rng("sensors.rng", rng_);
-    w.rng("sensors.gauss", gauss_);
+    w.engine("sensors.rng", rng_);
+    w.distribution("sensors.gauss", gauss_);
     w.f64("sensors.p_big", p_big_);
     w.f64("sensors.p_little", p_little_);
     w.f64("sensors.temp", temp_);
@@ -69,8 +69,8 @@ Sensors::save(obs::StateWriter& w) const
 void
 Sensors::load(obs::StateReader& r)
 {
-    r.rng("sensors.rng", rng_);
-    r.rng("sensors.gauss", gauss_);
+    r.engine("sensors.rng", rng_);
+    r.distribution("sensors.gauss", gauss_);
     p_big_ = r.f64("sensors.p_big");
     p_little_ = r.f64("sensors.p_little");
     temp_ = r.f64("sensors.temp");

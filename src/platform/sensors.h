@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <random>
 
+#include "obs/mt19937.h"
 #include "obs/stateio.h"
 #include "platform/config.h"
 
@@ -96,7 +97,7 @@ class Sensors
   private:
     SensorConfig cfg_;
     double ambient_ = 25.0;
-    std::mt19937 rng_;
+    obs::Mt19937 rng_;
     std::normal_distribution<double> gauss_{0.0, 1.0};
 
     double p_big_ = 0.0;

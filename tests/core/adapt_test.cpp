@@ -201,7 +201,7 @@ TEST(OnlineAdapterTest, SaveLoadRoundTripIsBitExactMidPhase)
     obs::StateWriter w1;
     a.save(w1);
     OnlineAdapter b(sisoSpec(), 0, shipped, data, fastOptions());
-    obs::StateReader r(w1.dump());
+    obs::StateReader r(w1.take());
     b.load(r);
 
     // Continue both in lockstep on identical samples: every
@@ -215,7 +215,7 @@ TEST(OnlineAdapterTest, SaveLoadRoundTripIsBitExactMidPhase)
     obs::StateWriter wb;
     a.save(wa);
     b.save(wb);
-    EXPECT_EQ(wa.dump(), wb.dump());
+    EXPECT_EQ(wa.take(), wb.take());
 }
 
 TEST(OnlineAdapterTest, CalibrationDisabledKeepsUnitScales)

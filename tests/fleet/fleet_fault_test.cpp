@@ -17,6 +17,7 @@
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
 #include "fleet/fleet.h"
+#include "obs/rollup.h"
 
 namespace {
 
@@ -354,6 +355,49 @@ TEST(FleetFaults, LatestCheckpointIsTheLastStampedOne)
         sim.restoreCheckpoint(dir + "/" + name);
         EXPECT_EQ(sim.epoch(), 6) << name;
         EXPECT_EQ(sim.run(1).digest(), base) << name;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+// A snapshot of another format version is refused by name even when
+// its stamp verifies: there is no reader for older versions.
+TEST(FleetFaults, OtherCheckpointVersionIsRefusedLoudly)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    const FleetConfig cfg = smallConfig(13, "");
+    const std::string dir = checkpointDir("version");
+    const std::string path = dir + "/fleet.ckpt";
+    FleetSim sim(cfg, artifacts);
+    sim.saveCheckpoint(path);
+
+    std::string text;
+    {
+        std::ifstream in(path, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    const std::string v3 = "ckpt.version=3\n";
+    ASSERT_EQ(text.rfind(v3, 0), 0u);
+    const std::size_t stamp_at = text.rfind("ckpt.digest=");
+    ASSERT_NE(stamp_at, std::string::npos);
+    const std::string body =
+        "ckpt.version=2\n" +
+        text.substr(v3.size(), stamp_at - v3.size());
+    char stamp[17];
+    std::snprintf(stamp, sizeof stamp, "%016llx",
+                  static_cast<unsigned long long>(yukta::obs::fnv1a(body)));
+    {
+        std::ofstream out(path + ".v2", std::ios::binary);
+        out << body << "ckpt.digest=" << stamp << "\n";
+    }
+    try {
+        sim.restoreCheckpoint(path + ".v2");
+        ADD_FAILURE() << "a version-2 checkpoint was accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported checkpoint version 2 (expected 3)"),
+                  std::string::npos)
+            << e.what();
     }
     std::filesystem::remove_all(dir);
 }

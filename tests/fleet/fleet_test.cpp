@@ -275,7 +275,7 @@ TEST(Fleet, SplitPeriodIsBitIdenticalToStepPeriod)
     yukta::obs::StateWriter b;
     whole.save(a);
     split.save(b);
-    EXPECT_EQ(a.dump(), b.dump());
+    EXPECT_EQ(a.take(), b.take());
 }
 
 TEST(Fleet, AdmissionStrictlyReducesSloViolationUnderOverload)

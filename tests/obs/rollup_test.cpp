@@ -3,15 +3,19 @@
 // built from N shard-local instances must equal one built serially.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/rollup.h"
+#include "obs/stateio.h"
 
 namespace {
 
 using yukta::obs::MergeableHistogram;
 using yukta::obs::RunningStat;
+using yukta::obs::StateReader;
+using yukta::obs::StateWriter;
 
 TEST(MergeableHistogram, CountsSumsAndExtremaTrackObservations)
 {
@@ -145,6 +149,40 @@ TEST(Fnv1a, MatchesReferenceVectorsAndSeparatesInputs)
     EXPECT_EQ(yukta::obs::fnv1a(""), 14695981039346656037ull);
     EXPECT_EQ(yukta::obs::fnv1a("a"), 12638187200555641996ull);
     EXPECT_NE(yukta::obs::fnv1a("fleet"), yukta::obs::fnv1a("fleed"));
+}
+
+// A checkpoint carries the bounds as a count and a fingerprint: load
+// restores the counts into a histogram built with the same bounds and
+// refuses one built with other bounds instead of adopting them.
+TEST(MergeableHistogram, SaveLoadKeepsConfiguredBoundsAndRefusesOthers)
+{
+    MergeableHistogram h = MergeableHistogram::logSpaced(0.01, 1000.0, 9);
+    h.observe(0.5);
+    h.observe(3.0);
+    h.observe(5000.0);
+    StateWriter w;
+    h.save(w);
+    const std::string body = w.take();
+
+    MergeableHistogram same = MergeableHistogram::logSpaced(0.01, 1000.0, 9);
+    StateReader ok(body);
+    same.load(ok);
+    EXPECT_TRUE(ok.atEnd());
+    EXPECT_EQ(same.bounds(), h.bounds());
+    EXPECT_EQ(same.bucketCounts(), h.bucketCounts());
+    EXPECT_EQ(same.count(), h.count());
+    EXPECT_DOUBLE_EQ(same.sum(), h.sum());
+    EXPECT_DOUBLE_EQ(same.maxValue(), h.maxValue());
+
+    // Same count of bounds, one of them moved: the fingerprint differs.
+    std::vector<double> moved = h.bounds();
+    moved[7] = std::nextafter(moved[7], 0.0);
+    for (MergeableHistogram other :
+         {MergeableHistogram::logSpaced(0.01, 1000.0, 8),
+          MergeableHistogram(moved), MergeableHistogram()}) {
+        StateReader r(body);
+        EXPECT_THROW(other.load(r), std::runtime_error);
+    }
 }
 
 }  // namespace

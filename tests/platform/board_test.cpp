@@ -298,7 +298,7 @@ TEST(Board, CheckpointRoundTripIsBitExact)
             obs::StateWriter w;
             live.save(w);
             Board restored = makeMixBoard(mix);
-            obs::StateReader r(w.dump());
+            obs::StateReader r(w.take());
             restored.load(r);
             ASSERT_TRUE(r.atEnd());
 

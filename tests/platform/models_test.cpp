@@ -39,7 +39,7 @@ scanRunnable(const Workload& w)
 {
     obs::StateWriter out;
     w.save(out);
-    obs::StateReader r(out.dump());
+    obs::StateReader r(out.take());
     std::vector<std::size_t> owner;
     const std::uint64_t instances = r.u64("workload.instances");
     for (std::size_t i = 0; i < instances; ++i) {
@@ -348,7 +348,7 @@ TEST(Workload, LoadRebuildsRunnableIndex)
     obs::StateWriter out;
     w.save(out);
     Workload fresh = AppCatalog::getMix("blmc");
-    obs::StateReader r(out.dump());
+    obs::StateReader r(out.take());
     fresh.load(r);
     EXPECT_EQ(fresh.numRunnableThreads(), w.numRunnableThreads());
     expectIndexMatchesScan(fresh);

@@ -207,7 +207,7 @@ TEST(Rls, SaveLoadRoundTripIsBitExact)
     obs::StateWriter w;
     a.save(w);
     RlsEstimator b(zeroSeed(), Vector{1.0}, Vector{1.0}, opt);
-    obs::StateReader r(w.dump());
+    obs::StateReader r(w.take());
     b.load(r);
 
     // Continue both in lockstep; trajectories must stay identical.
@@ -320,7 +320,7 @@ TEST(Cusum, SaveLoadRoundTripIsBitExact)
     obs::StateWriter w;
     a.save(w);
     CusumDriftDetector b({1.0, 2.0}, opt);
-    obs::StateReader r(w.dump());
+    obs::StateReader r(w.take());
     b.load(r);
     EXPECT_EQ(a.maxStat(), b.maxStat());
     EXPECT_EQ(a.samples(), b.samples());
