@@ -359,6 +359,40 @@ TEST(FleetFaults, LatestCheckpointIsTheLastStampedOne)
     std::filesystem::remove_all(dir);
 }
 
+// The checkpoint format, pinned to the byte: the FNV-1a of the final
+// checkpoints of a small adaptive fleet with a crash and a degrade
+// window, for every scheme, bare and supervised. Any change to a key,
+// a field's order or its encoding moves this hash; a deliberate format
+// change re-blesses it together with a kCheckpointVersion bump.
+TEST(FleetFaults, CheckpointBytesArePinned)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    const std::string dir = checkpointDir("pinned");
+    const std::string path = dir + "/fleet.ckpt";
+    std::string all;
+    for (const yukta::core::Scheme scheme : yukta::core::allSchemes()) {
+        for (const bool supervised : {false, true}) {
+            FleetConfig cfg = smallConfig(
+                7, "board1:crash@1+1;board2:degrade@0.5+2*0.4");
+            cfg.adapt = true;
+            cfg.scheme = scheme;
+            cfg.supervised = supervised;
+            FleetSim sim(cfg, artifacts);
+            (void)sim.run(1);
+            sim.saveCheckpoint(path);
+            std::ifstream in(path, std::ios::binary);
+            all.append(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+        }
+    }
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(yukta::obs::fnv1a(all)));
+    EXPECT_EQ(all.size(), 1833848u);
+    EXPECT_STREQ(hash, "d5c72465de1a6bac");
+    std::filesystem::remove_all(dir);
+}
+
 // A snapshot of another format version is refused by name even when
 // its stamp verifies: there is no reader for older versions.
 TEST(FleetFaults, OtherCheckpointVersionIsRefusedLoudly)
