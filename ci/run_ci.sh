@@ -93,22 +93,31 @@ echo "=== crash-resume smoke: checkpoint, resume, digest-compare ==="
 # a second process restores the snapshot with a different worker count
 # and runs to the end. The digests must match the uninterrupted run,
 # both from a numbered snapshot and from the fleet-latest.ckpt alias
-# (epoch 12 here) that README's --resume example uses.
+# (epoch 12 here) that README's --resume example uses. The run resumed
+# from epoch 6 checkpoints again, and its fleet-12.ckpt must equal the
+# uninterrupted run's byte for byte: that catches a field that is
+# saved but not restored even where the digest does not show it.
 CKPT_DIR="build/ci-ckpt"
-rm -rf "$CKPT_DIR"
+RESUMED_CKPT_DIR="build/ci-ckpt-resumed"
+rm -rf "$CKPT_DIR" "$RESUMED_CKPT_DIR"
 FLEET_ARGS=(--boards=6 --sim-seconds=8 --seed=3 --supervised
             --faults='board1:crash@2+3;board4:hang@5+1')
 FULL_DIGEST="$(./build/examples/yukta-fleet "${FLEET_ARGS[@]}" \
     --checkpoint-every=6 --checkpoint-dir="$CKPT_DIR" --digest)"
 for CKPT in fleet-6.ckpt fleet-latest.ckpt; do
     RESUME_DIGEST="$(./build/examples/yukta-fleet "${FLEET_ARGS[@]}" \
-        --resume="$CKPT_DIR/$CKPT" --workers=2 --digest)"
+        --resume="$CKPT_DIR/$CKPT" --workers=2 --checkpoint-every=6 \
+        --checkpoint-dir="$RESUMED_CKPT_DIR" --digest)"
     if [[ "$FULL_DIGEST" != "$RESUME_DIGEST" ]]; then
         echo "crash-resume smoke FAILED ($CKPT): full $FULL_DIGEST vs resumed $RESUME_DIGEST"
         exit 1
     fi
 done
-echo "crash-resume digests match: $FULL_DIGEST"
+if ! cmp "$CKPT_DIR/fleet-12.ckpt" "$RESUMED_CKPT_DIR/fleet-12.ckpt"; then
+    echo "crash-resume smoke FAILED: the resumed run's fleet-12.ckpt differs"
+    exit 1
+fi
+echo "crash-resume digests and fleet-12.ckpt match: $FULL_DIGEST"
 
 echo "=== fleet CLI: bad flag values exit 2, never abort ==="
 # A non-numeric flag is rejected while parsing; a value FleetSim

@@ -99,13 +99,12 @@ class HwController
     }
 
     /**
-     * Appends the controller's mutable state to @p w for
-     * checkpointing. Stateless controllers keep the no-op default.
+     * Checkpoint hooks: write, or restore, the controller's mutable
+     * state through one field list (obs/stateio.h). Stateless
+     * controllers keep the no-op defaults.
      */
-    virtual void save(obs::StateWriter& w) const { (void)w; }
-
-    /** Restores state written by save. */
-    virtual void load(obs::StateReader& r) { (void)r; }
+    virtual void state(obs::StateWriter& w) { (void)w; }
+    virtual void state(obs::StateReader& r) { (void)r; }
 };
 
 /** Software-layer controller interface. */
@@ -134,11 +133,9 @@ class OsController
         return false;
     }
 
-    /** Appends the controller's mutable state to @p w (default none). */
-    virtual void save(obs::StateWriter& w) const { (void)w; }
-
-    /** Restores state written by save. */
-    virtual void load(obs::StateReader& r) { (void)r; }
+    /** Checkpoint hooks, as HwController's (default: no state). */
+    virtual void state(obs::StateWriter& w) { (void)w; }
+    virtual void state(obs::StateReader& r) { (void)r; }
 };
 
 }  // namespace yukta::controllers

@@ -35,23 +35,8 @@ class CoordinatedHwHeuristic : public HwController
     void reset() override;
 
     /** Checkpoint hooks: ramp state + last actuation. */
-    void save(obs::StateWriter& w) const override
-    {
-        w.u64("coordhw.big_cores", state_.big_cores);
-        w.u64("coordhw.little_cores", state_.little_cores);
-        w.f64("coordhw.freq_big", state_.freq_big);
-        w.f64("coordhw.freq_little", state_.freq_little);
-        w.i64("coordhw.ramp_tick", ramp_tick_);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        state_.big_cores = r.u64("coordhw.big_cores");
-        state_.little_cores = r.u64("coordhw.little_cores");
-        state_.freq_big = r.f64("coordhw.freq_big");
-        state_.freq_little = r.f64("coordhw.freq_little");
-        ramp_tick_ = static_cast<int>(r.i64("coordhw.ramp_tick"));
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     platform::BoardConfig cfg_;
@@ -59,6 +44,17 @@ class CoordinatedHwHeuristic : public HwController
     platform::DvfsTable little_;
     platform::HardwareInputs state_;
     int ramp_tick_ = 0;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        io.u64("coordhw.big_cores", state_.big_cores);
+        io.u64("coordhw.little_cores", state_.little_cores);
+        io.f64("coordhw.freq_big", state_.freq_big);
+        io.f64("coordhw.freq_little", state_.freq_little);
+        io.i64("coordhw.ramp_tick", ramp_tick_);
+    }
 };
 
 /** OS side of the Coordinated heuristic scheme (HMP-like, E x D). */
@@ -89,24 +85,8 @@ class DecoupledHwHeuristic : public HwController
     void reset() override;
 
     /** Checkpoint hooks: violation streak + last actuation. */
-    void save(obs::StateWriter& w) const override
-    {
-        w.u64("dechw.big_cores", state_.big_cores);
-        w.u64("dechw.little_cores", state_.little_cores);
-        w.f64("dechw.freq_big", state_.freq_big);
-        w.f64("dechw.freq_little", state_.freq_little);
-        w.i64("dechw.violation_streak", violation_streak_);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        state_.big_cores = r.u64("dechw.big_cores");
-        state_.little_cores = r.u64("dechw.little_cores");
-        state_.freq_big = r.f64("dechw.freq_big");
-        state_.freq_little = r.f64("dechw.freq_little");
-        violation_streak_ =
-            static_cast<int>(r.i64("dechw.violation_streak"));
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     platform::BoardConfig cfg_;
@@ -114,6 +94,17 @@ class DecoupledHwHeuristic : public HwController
     platform::DvfsTable little_;
     platform::HardwareInputs state_;
     int violation_streak_ = 0;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        io.u64("dechw.big_cores", state_.big_cores);
+        io.u64("dechw.little_cores", state_.little_cores);
+        io.f64("dechw.freq_big", state_.freq_big);
+        io.f64("dechw.freq_little", state_.freq_little);
+        io.i64("dechw.violation_streak", violation_streak_);
+    }
 };
 
 /** OS side of the Decoupled heuristic (round robin, no coordination). */

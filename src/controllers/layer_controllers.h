@@ -68,21 +68,8 @@ class SsvHwController : public HwController
     void installRuntime(SsvRuntime runtime);
 
     /** Checkpoint hooks: runtime + optimizer + hold state. */
-    void save(obs::StateWriter& w) const override
-    {
-        runtime_.save(w);
-        optimizer_.save(w);
-        w.f64vec("ctl.held_targets", held_targets_.raw());
-        w.boolean("ctl.hold", hold_);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        runtime_.load(r);
-        optimizer_.load(r);
-        held_targets_ = linalg::Vector(r.f64vec("ctl.held_targets"));
-        hold_ = r.boolean("ctl.hold");
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     SsvRuntime runtime_;
@@ -90,6 +77,16 @@ class SsvHwController : public HwController
     linalg::Vector held_targets_;
     bool hold_ = false;
     obs::TraceSink* trace_ = nullptr;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        runtime_.state(io);
+        optimizer_.state(io);
+        io.f64vec("ctl.held_targets", held_targets_.raw());
+        io.boolean("ctl.hold", hold_);
+    }
 };
 
 /** SSV software controller (Sec. IV-B) + optimizer. */
@@ -114,21 +111,8 @@ class SsvOsController : public OsController
     bool holdTargets(const linalg::Vector& targets) override;
 
     /** Checkpoint hooks: runtime + optimizer + hold state. */
-    void save(obs::StateWriter& w) const override
-    {
-        runtime_.save(w);
-        optimizer_.save(w);
-        w.f64vec("ctl.held_targets", held_targets_.raw());
-        w.boolean("ctl.hold", hold_);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        runtime_.load(r);
-        optimizer_.load(r);
-        held_targets_ = linalg::Vector(r.f64vec("ctl.held_targets"));
-        hold_ = r.boolean("ctl.hold");
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     SsvRuntime runtime_;
@@ -136,6 +120,16 @@ class SsvOsController : public OsController
     linalg::Vector held_targets_;
     bool hold_ = false;
     obs::TraceSink* trace_ = nullptr;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        runtime_.state(io);
+        optimizer_.state(io);
+        io.f64vec("ctl.held_targets", held_targets_.raw());
+        io.boolean("ctl.hold", hold_);
+    }
 };
 
 /** Decoupled-LQG hardware controller (no external signals). */
@@ -160,21 +154,8 @@ class LqgHwController : public HwController
     bool holdTargets(const linalg::Vector& targets) override;
 
     /** Checkpoint hooks: runtime + optimizer + hold state. */
-    void save(obs::StateWriter& w) const override
-    {
-        runtime_.save(w);
-        optimizer_.save(w);
-        w.f64vec("ctl.held_targets", held_targets_.raw());
-        w.boolean("ctl.hold", hold_);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        runtime_.load(r);
-        optimizer_.load(r);
-        held_targets_ = linalg::Vector(r.f64vec("ctl.held_targets"));
-        hold_ = r.boolean("ctl.hold");
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     LqgRuntime runtime_;
@@ -182,6 +163,16 @@ class LqgHwController : public HwController
     linalg::Vector held_targets_;
     bool hold_ = false;
     obs::TraceSink* trace_ = nullptr;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        runtime_.state(io);
+        optimizer_.state(io);
+        io.f64vec("ctl.held_targets", held_targets_.raw());
+        io.boolean("ctl.hold", hold_);
+    }
 };
 
 /** Decoupled-LQG software controller. */
@@ -202,22 +193,21 @@ class LqgOsController : public OsController
     const LqgRuntime& runtime() const { return runtime_; }
 
     /** Checkpoint hooks: runtime + optimizer. */
-    void save(obs::StateWriter& w) const override
-    {
-        runtime_.save(w);
-        optimizer_.save(w);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        runtime_.load(r);
-        optimizer_.load(r);
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     LqgRuntime runtime_;
     ExdOptimizer optimizer_;
     obs::TraceSink* trace_ = nullptr;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        runtime_.state(io);
+        optimizer_.state(io);
+    }
 };
 
 /** Controller that manages both layers from one loop. */
@@ -236,11 +226,9 @@ class JointController
     /** Attaches @p sink for per-tick event tracing (nullptr detaches). */
     virtual void attachTrace(obs::TraceSink* sink) { (void)sink; }
 
-    /** Appends the controller's mutable state to @p w (default none). */
-    virtual void save(obs::StateWriter& w) const { (void)w; }
-
-    /** Restores state written by save. */
-    virtual void load(obs::StateReader& r) { (void)r; }
+    /** Checkpoint hooks, as HwController's (default: no state). */
+    virtual void state(obs::StateWriter& w) { (void)w; }
+    virtual void state(obs::StateReader& r) { (void)r; }
 };
 
 /**
@@ -267,22 +255,21 @@ class MonolithicLqgController : public JointController
     const LqgRuntime& runtime() const { return runtime_; }
 
     /** Checkpoint hooks: runtime + optimizer. */
-    void save(obs::StateWriter& w) const override
-    {
-        runtime_.save(w);
-        optimizer_.save(w);
-    }
-    /** Restores the state written by save(). */
-    void load(obs::StateReader& r) override
-    {
-        runtime_.load(r);
-        optimizer_.load(r);
-    }
+    void state(obs::StateWriter& w) override { fields(w); }
+    void state(obs::StateReader& r) override { fields(r); }
 
   private:
     LqgRuntime runtime_;
     ExdOptimizer optimizer_;
     obs::TraceSink* trace_ = nullptr;
+
+    /** The field list behind both state() overloads. */
+    template <class Io>
+    void fields(Io& io)
+    {
+        runtime_.state(io);
+        optimizer_.state(io);
+    }
 };
 
 /** E x D proxy metric (Power / Perf^2) used by the optimizers. */

@@ -73,20 +73,13 @@ class LqgRuntime
     /** Total invocations. */
     int totalMoves() const { return total_moves_; }
 
-    /** Appends the mutable runtime state to @p w. */
-    void save(obs::StateWriter& w) const
+    /** Writes or restores the mutable runtime state (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io)
     {
-        w.f64vec("lqg.x", x_.raw());
-        w.i64("lqg.wasted_moves", wasted_moves_);
-        w.i64("lqg.total_moves", total_moves_);
-    }
-
-    /** Restores state written by save. */
-    void load(obs::StateReader& r)
-    {
-        x_ = linalg::Vector(r.f64vec("lqg.x"));
-        wasted_moves_ = static_cast<int>(r.i64("lqg.wasted_moves"));
-        total_moves_ = static_cast<int>(r.i64("lqg.total_moves"));
+        io.f64vec("lqg.x", x_.raw());
+        io.i64("lqg.wasted_moves", wasted_moves_);
+        io.i64("lqg.total_moves", total_moves_);
     }
 
   private:

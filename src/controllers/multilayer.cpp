@@ -365,84 +365,42 @@ MultilayerSystem::metrics() const
     return metrics;
 }
 
+template <class Io>
 void
-MultilayerSystem::save(obs::StateWriter& w) const
+MultilayerSystem::state(Io& io)
 {
-    board_.save(w);
-    w.boolean("ml.has_joint", joint_ != nullptr);
+    board_.state(io);
+    io.expect("ml.has_joint", joint_ != nullptr);
     if (joint_ != nullptr) {
-        joint_->save(w);
+        joint_->state(io);
     } else {
-        hw_->save(w);
-        os_->save(w);
+        hw_->state(io);
+        os_->state(io);
     }
-    w.boolean("ml.has_injector", injector_ != nullptr);
+    io.expect("ml.has_injector", injector_ != nullptr);
     if (injector_ != nullptr) {
-        injector_->save(w);
+        injector_->state(io);
     }
-    w.boolean("ml.has_supervisor", supervisor_ != nullptr);
+    io.expect("ml.has_supervisor", supervisor_ != nullptr);
     if (supervisor_ != nullptr) {
-        supervisor_->save(w);
+        supervisor_->state(io);
     }
 
-    w.u64("ml.last_hw.big_cores", last_hw_.big_cores);
-    w.u64("ml.last_hw.little_cores", last_hw_.little_cores);
-    w.f64("ml.last_hw.freq_big", last_hw_.freq_big);
-    w.f64("ml.last_hw.freq_little", last_hw_.freq_little);
-    w.f64("ml.last_policy.threads_big", last_policy_.threads_big);
-    w.f64("ml.last_policy.tpc_big", last_policy_.tpc_big);
-    w.f64("ml.last_policy.tpc_little", last_policy_.tpc_little);
-    w.f64("ml.last_instr_total", last_instr_total_);
-    w.f64("ml.last_instr_big", last_instr_big_);
-    w.f64("ml.last_instr_little", last_instr_little_);
-    w.f64("ml.t", t_);
-    w.i64("ml.periods", periods_);
+    io.u64("ml.last_hw.big_cores", last_hw_.big_cores);
+    io.u64("ml.last_hw.little_cores", last_hw_.little_cores);
+    io.f64("ml.last_hw.freq_big", last_hw_.freq_big);
+    io.f64("ml.last_hw.freq_little", last_hw_.freq_little);
+    io.f64("ml.last_policy.threads_big", last_policy_.threads_big);
+    io.f64("ml.last_policy.tpc_big", last_policy_.tpc_big);
+    io.f64("ml.last_policy.tpc_little", last_policy_.tpc_little);
+    io.f64("ml.last_instr_total", last_instr_total_);
+    io.f64("ml.last_instr_big", last_instr_big_);
+    io.f64("ml.last_instr_little", last_instr_little_);
+    io.f64("ml.t", t_);
+    io.i64("ml.periods", periods_);
 }
 
-void
-MultilayerSystem::load(obs::StateReader& r)
-{
-    board_.load(r);
-    const bool has_joint = r.boolean("ml.has_joint");
-    if (has_joint != (joint_ != nullptr)) {
-        throw std::runtime_error(
-            "MultilayerSystem::load: arrangement mismatch");
-    }
-    if (joint_ != nullptr) {
-        joint_->load(r);
-    } else {
-        hw_->load(r);
-        os_->load(r);
-    }
-    const bool has_injector = r.boolean("ml.has_injector");
-    if (has_injector != (injector_ != nullptr)) {
-        throw std::runtime_error(
-            "MultilayerSystem::load: injector presence mismatch");
-    }
-    if (injector_ != nullptr) {
-        injector_->load(r);
-    }
-    const bool has_supervisor = r.boolean("ml.has_supervisor");
-    if (has_supervisor != (supervisor_ != nullptr)) {
-        throw std::runtime_error(
-            "MultilayerSystem::load: supervisor presence mismatch");
-    }
-    if (supervisor_ != nullptr) {
-        supervisor_->load(r);
-    }
-
-    last_hw_.big_cores = r.u64("ml.last_hw.big_cores");
-    last_hw_.little_cores = r.u64("ml.last_hw.little_cores");
-    last_hw_.freq_big = r.f64("ml.last_hw.freq_big");
-    last_hw_.freq_little = r.f64("ml.last_hw.freq_little");
-    last_policy_.threads_big = r.f64("ml.last_policy.threads_big");
-    last_policy_.tpc_big = r.f64("ml.last_policy.tpc_big");
-    last_policy_.tpc_little = r.f64("ml.last_policy.tpc_little");
-    last_instr_total_ = r.f64("ml.last_instr_total");
-    last_instr_big_ = r.f64("ml.last_instr_big");
-    last_instr_little_ = r.f64("ml.last_instr_little");
-    t_ = r.f64("ml.t");
-    periods_ = static_cast<int>(r.i64("ml.periods"));
-}
+template void MultilayerSystem::state(obs::StateWriter&);
+template void MultilayerSystem::state(obs::StateReader&);
 
 }  // namespace yukta::controllers

@@ -148,7 +148,7 @@ class MultilayerSystem
      * Raw hardware-runtime replacement for checkpoint restore:
      * installs the runtime without bumpless arming or ladder routing
      * (the restored state stream carries the exact post-swap state).
-     * Must be called before load() so the state sizes match.
+     * Must be called before restoring state() so the sizes match.
      */
     bool installHwRuntime(SsvRuntime runtime);
 
@@ -178,17 +178,14 @@ class MultilayerSystem
     Supervisor* supervisor() { return supervisor_.get(); }
 
     /**
-     * Appends the full system state — board, both layer controllers
-     * (or the joint one), injector, supervisor, and the harness's own
-     * inter-period memory — to @p w for checkpointing.
+     * Writes or restores the full system state — board, both layer
+     * controllers (or the joint one), injector, supervisor, and the
+     * harness's own inter-period memory (obs/stateio.h). A restore
+     * needs a system constructed with the same board config,
+     * workload, scheme, and attachments.
      */
-    void save(obs::StateWriter& w) const;
-
-    /**
-     * Restores state written by save into a system constructed with
-     * the same board config, workload, scheme, and attachments.
-     */
-    void load(obs::StateReader& r);
+    template <class Io>
+    void state(Io& io);
 
   private:
     platform::Board board_;

@@ -174,44 +174,31 @@ ExdOptimizer::reset()
     last_channel_ = -1;
 }
 
+template <class Io>
 void
-ExdOptimizer::save(obs::StateWriter& w) const
+ExdOptimizer::state(Io& io)
 {
-    w.f64vec("opt.targets", targets_.raw());
-    w.f64vec("opt.ema_measured", ema_measured_.raw());
-    w.boolean("opt.have_anchor", have_anchor_);
-    w.i64("opt.direction", direction_);
+    io.f64vec("opt.targets", targets_.raw());
+    io.f64vec("opt.ema_measured", ema_measured_.raw());
+    io.boolean("opt.have_anchor", have_anchor_);
+    io.i64("opt.direction", direction_);
     std::vector<long long> dirs(channel_dir_.begin(), channel_dir_.end());
-    w.i64vec("opt.channel_dir", dirs);
-    w.u64("opt.next_channel", next_channel_);
-    w.i64("opt.last_channel", last_channel_);
-    w.f64("opt.last_metric", last_metric_);
-    w.f64("opt.ema_metric", ema_metric_);
-    w.i64("opt.period_count", period_count_);
-    w.i64("opt.moves", moves_);
-    w.i64("opt.reversals", reversals_);
-    w.i64("opt.recent_reversals", recent_reversals_);
-    w.i64("opt.converged_at", converged_at_);
+    io.i64vec("opt.channel_dir", dirs);
+    if constexpr (Io::kLoading) {
+        channel_dir_.assign(dirs.begin(), dirs.end());
+    }
+    io.u64("opt.next_channel", next_channel_);
+    io.i64("opt.last_channel", last_channel_);
+    io.f64("opt.last_metric", last_metric_);
+    io.f64("opt.ema_metric", ema_metric_);
+    io.i64("opt.period_count", period_count_);
+    io.i64("opt.moves", moves_);
+    io.i64("opt.reversals", reversals_);
+    io.i64("opt.recent_reversals", recent_reversals_);
+    io.i64("opt.converged_at", converged_at_);
 }
 
-void
-ExdOptimizer::load(obs::StateReader& r)
-{
-    targets_ = linalg::Vector(r.f64vec("opt.targets"));
-    ema_measured_ = linalg::Vector(r.f64vec("opt.ema_measured"));
-    have_anchor_ = r.boolean("opt.have_anchor");
-    direction_ = static_cast<int>(r.i64("opt.direction"));
-    const auto dirs = r.i64vec("opt.channel_dir");
-    channel_dir_.assign(dirs.begin(), dirs.end());
-    next_channel_ = r.u64("opt.next_channel");
-    last_channel_ = static_cast<int>(r.i64("opt.last_channel"));
-    last_metric_ = r.f64("opt.last_metric");
-    ema_metric_ = r.f64("opt.ema_metric");
-    period_count_ = static_cast<int>(r.i64("opt.period_count"));
-    moves_ = static_cast<int>(r.i64("opt.moves"));
-    reversals_ = static_cast<int>(r.i64("opt.reversals"));
-    recent_reversals_ = static_cast<int>(r.i64("opt.recent_reversals"));
-    converged_at_ = static_cast<int>(r.i64("opt.converged_at"));
-}
+template void ExdOptimizer::state(obs::StateWriter&);
+template void ExdOptimizer::state(obs::StateReader&);
 
 }  // namespace yukta::controllers

@@ -118,11 +118,12 @@ class ExdOptimizer
      */
     int convergedAtMove() const { return converged_at_; }
 
-    /** Appends the full walk state to @p w. */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save (trace sink untouched). */
-    void load(obs::StateReader& r);
+    /**
+     * Writes or restores the full walk state (obs/stateio.h; a
+     * restore leaves the trace sink untouched).
+     */
+    template <class Io>
+    void state(Io& io);
 
   private:
     OptimizerConfig cfg_;

@@ -122,24 +122,15 @@ class SsvRuntime
     /** The certificate of the wrapped controller. */
     const robust::SsvController& certificate() const { return ctrl_; }
 
-    /** Appends the mutable runtime state to @p w. */
-    void save(obs::StateWriter& w) const
+    /** Writes or restores the mutable runtime state (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io)
     {
-        w.f64vec("ssv.x", x_.raw());
-        w.i64("ssv.over_bound", over_bound_count_);
-        w.boolean("ssv.exhausted", exhausted_);
-        w.boolean("ssv.bumpless", bumpless_armed_);
-        w.f64vec("ssv.bumpless_u", bumpless_u_.raw());
-    }
-
-    /** Restores state written by save. */
-    void load(obs::StateReader& r)
-    {
-        x_ = linalg::Vector(r.f64vec("ssv.x"));
-        over_bound_count_ = static_cast<int>(r.i64("ssv.over_bound"));
-        exhausted_ = r.boolean("ssv.exhausted");
-        bumpless_armed_ = r.boolean("ssv.bumpless");
-        bumpless_u_ = linalg::Vector(r.f64vec("ssv.bumpless_u"));
+        io.f64vec("ssv.x", x_.raw());
+        io.i64("ssv.over_bound", over_bound_count_);
+        io.boolean("ssv.exhausted", exhausted_);
+        io.boolean("ssv.bumpless", bumpless_armed_);
+        io.f64vec("ssv.bumpless_u", bumpless_u_.raw());
     }
 
   private:

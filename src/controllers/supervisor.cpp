@@ -87,110 +87,48 @@ Supervisor::noteHotSwap(int period, double time, const std::string& reason)
     }
 }
 
-namespace {
-
+template <class Io>
 void
-saveReadings(obs::StateWriter& w, const std::string& p,
-             const SensorReadings& r)
+Supervisor::state(Io& io)
 {
-    w.f64(p + ".p_big", r.p_big);
-    w.f64(p + ".p_little", r.p_little);
-    w.f64(p + ".temp", r.temp);
-    w.f64(p + ".instr_big", r.instr_big);
-    w.f64(p + ".instr_little", r.instr_little);
-}
+    io.u64("sup.mode", mode_);
+    io.i64("sup.consecutive_bad", consecutive_bad_);
+    io.i64("sup.consecutive_good", consecutive_good_);
+    io.boolean("sup.have_good", have_good_);
+    last_good_.state(io, "sup.last_good");
+    prev_obs_.state(io, "sup.prev_obs");
+    io.boolean("sup.have_prev", have_prev_);
+    io.boolean("sup.expect_big_activity", expect_big_activity_);
+    io.i64("sup.stuck_p_big", stuck_streak_p_big_);
+    io.i64("sup.stuck_p_little", stuck_streak_p_little_);
+    io.i64("sup.stuck_temp", stuck_streak_temp_);
+    io.i64("sup.reset_grace", reset_grace_);
 
-void
-loadReadings(obs::StateReader& r, const std::string& p,
-             SensorReadings* out)
-{
-    out->p_big = r.f64(p + ".p_big");
-    out->p_little = r.f64(p + ".p_little");
-    out->temp = r.f64(p + ".temp");
-    out->instr_big = r.f64(p + ".instr_big");
-    out->instr_little = r.f64(p + ".instr_little");
-}
-
-}  // namespace
-
-void
-Supervisor::save(obs::StateWriter& w) const
-{
-    w.u64("sup.mode", static_cast<std::uint64_t>(mode_));
-    w.i64("sup.consecutive_bad", consecutive_bad_);
-    w.i64("sup.consecutive_good", consecutive_good_);
-    w.boolean("sup.have_good", have_good_);
-    saveReadings(w, "sup.last_good", last_good_);
-    saveReadings(w, "sup.prev_obs", prev_obs_);
-    w.boolean("sup.have_prev", have_prev_);
-    w.boolean("sup.expect_big_activity", expect_big_activity_);
-    w.i64("sup.stuck_p_big", stuck_streak_p_big_);
-    w.i64("sup.stuck_p_little", stuck_streak_p_little_);
-    w.i64("sup.stuck_temp", stuck_streak_temp_);
-    w.i64("sup.reset_grace", reset_grace_);
-
-    w.u64("sup.events", report_.events.size());
-    for (std::size_t i = 0; i < report_.events.size(); ++i) {
-        const SupervisorEvent& e = report_.events[i];
-        const std::string p = "sup.e" + std::to_string(i);
-        w.i64(p + ".period", e.period);
-        w.f64(p + ".time", e.time);
-        w.u64(p + ".from", static_cast<std::uint64_t>(e.from));
-        w.u64(p + ".to", static_cast<std::uint64_t>(e.to));
-        w.str(p + ".reason", e.reason);
-    }
-    w.i64("sup.transition_count", report_.transition_count);
-    w.i64("sup.invalid_ticks", report_.invalid_ticks);
-    w.i64("sup.repaired_fields", report_.repaired_fields);
-    w.i64("sup.repaired_commands", report_.repaired_commands);
-    w.i64("sup.skipped_ticks", report_.skipped_ticks);
-    w.f64("sup.time_nominal", report_.time_nominal);
-    w.f64("sup.time_hold", report_.time_hold);
-    w.f64("sup.time_fallback", report_.time_fallback);
-    w.f64("sup.time_safe", report_.time_safe);
-
-    fallback_hw_.save(w);
-}
-
-void
-Supervisor::load(obs::StateReader& r)
-{
-    mode_ = static_cast<SupervisorMode>(r.u64("sup.mode"));
-    consecutive_bad_ = static_cast<int>(r.i64("sup.consecutive_bad"));
-    consecutive_good_ = static_cast<int>(r.i64("sup.consecutive_good"));
-    have_good_ = r.boolean("sup.have_good");
-    loadReadings(r, "sup.last_good", &last_good_);
-    loadReadings(r, "sup.prev_obs", &prev_obs_);
-    have_prev_ = r.boolean("sup.have_prev");
-    expect_big_activity_ = r.boolean("sup.expect_big_activity");
-    stuck_streak_p_big_ = static_cast<int>(r.i64("sup.stuck_p_big"));
-    stuck_streak_p_little_ =
-        static_cast<int>(r.i64("sup.stuck_p_little"));
-    stuck_streak_temp_ = static_cast<int>(r.i64("sup.stuck_temp"));
-    reset_grace_ = static_cast<int>(r.i64("sup.reset_grace"));
-
-    report_.events.resize(r.u64("sup.events"));
+    io.count("sup.events", report_.events);
     for (std::size_t i = 0; i < report_.events.size(); ++i) {
         SupervisorEvent& e = report_.events[i];
         const std::string p = "sup.e" + std::to_string(i);
-        e.period = static_cast<int>(r.i64(p + ".period"));
-        e.time = r.f64(p + ".time");
-        e.from = static_cast<SupervisorMode>(r.u64(p + ".from"));
-        e.to = static_cast<SupervisorMode>(r.u64(p + ".to"));
-        e.reason = r.str(p + ".reason");
+        io.i64(p + ".period", e.period);
+        io.f64(p + ".time", e.time);
+        io.u64(p + ".from", e.from);
+        io.u64(p + ".to", e.to);
+        io.str(p + ".reason", e.reason);
     }
-    report_.transition_count = r.i64("sup.transition_count");
-    report_.invalid_ticks = r.i64("sup.invalid_ticks");
-    report_.repaired_fields = r.i64("sup.repaired_fields");
-    report_.repaired_commands = r.i64("sup.repaired_commands");
-    report_.skipped_ticks = r.i64("sup.skipped_ticks");
-    report_.time_nominal = r.f64("sup.time_nominal");
-    report_.time_hold = r.f64("sup.time_hold");
-    report_.time_fallback = r.f64("sup.time_fallback");
-    report_.time_safe = r.f64("sup.time_safe");
+    io.i64("sup.transition_count", report_.transition_count);
+    io.i64("sup.invalid_ticks", report_.invalid_ticks);
+    io.i64("sup.repaired_fields", report_.repaired_fields);
+    io.i64("sup.repaired_commands", report_.repaired_commands);
+    io.i64("sup.skipped_ticks", report_.skipped_ticks);
+    io.f64("sup.time_nominal", report_.time_nominal);
+    io.f64("sup.time_hold", report_.time_hold);
+    io.f64("sup.time_fallback", report_.time_fallback);
+    io.f64("sup.time_safe", report_.time_safe);
 
-    fallback_hw_.load(r);
+    fallback_hw_.state(io);
 }
+
+template void Supervisor::state(obs::StateWriter&);
+template void Supervisor::state(obs::StateReader&);
 
 namespace {
 

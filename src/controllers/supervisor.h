@@ -51,6 +51,12 @@ enum class SupervisorMode
 /** @return a short stable name for @p mode ("nominal", ...). */
 std::string supervisorModeName(SupervisorMode mode);
 
+/** The highest rung; bounds a restored mode (obs/stateio.h, via ADL). */
+constexpr SupervisorMode lastEnumerator(SupervisorMode)
+{
+    return SupervisorMode::kSafe;
+}
+
 /** Supervisor tuning knobs (ticks are 500 ms control periods). */
 struct SupervisorConfig
 {
@@ -224,14 +230,12 @@ class Supervisor
      */
     void coldBoot(int period, double time, const std::string& reason);
 
-    /** Appends the full ladder + validator state to @p w. */
-    void save(obs::StateWriter& w) const;
-
     /**
-     * Restores state written by save. The event log is restored as
-     * counters plus the events recorded so far.
+     * Writes or restores the full ladder + validator state
+     * (obs/stateio.h): counters plus the events recorded so far.
      */
-    void load(obs::StateReader& r);
+    template <class Io>
+    void state(Io& io);
 
   private:
     platform::BoardConfig board_cfg_;

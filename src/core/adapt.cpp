@@ -287,62 +287,51 @@ OnlineAdapter::noteSwapped()
     phase_ = Phase::kMonitor;
 }
 
+template <class Io>
 void
-OnlineAdapter::save(obs::StateWriter& w) const
+OnlineAdapter::state(Io& io)
 {
-    w.i64("adapt.phase", static_cast<long long>(phase_));
-    w.u64("adapt.tick", tick_);
-    w.u64("adapt.drift_tick", drift_tick_);
-    w.u64("adapt.swap_due", swap_due_);
-    w.u64("adapt.arm_tick", arm_tick_);
-    w.f64vec("adapt.cal_sum", cal_sum_sq_);
-    w.u64("adapt.cal_n", cal_count_);
-    w.f64vec("adapt.cal_scale", cal_scale_);
-    w.i64("adapt.drift_events", drift_events_);
-    w.i64("adapt.syntheses", syntheses_);
-    w.i64("adapt.cache_hits", cache_hits_);
-    w.i64("adapt.swaps", swaps_);
-    w.str("adapt.pending", pending_text_);
-    w.str("adapt.installed", installed_text_);
-    w.boolean("adapt.has_snapshot", snapshot_.has_value());
-    if (snapshot_) {
-        saveArx(w, "adapt.snap", *snapshot_);
+    io.u64("adapt.phase", phase_);
+    io.u64("adapt.tick", tick_);
+    io.u64("adapt.drift_tick", drift_tick_);
+    io.u64("adapt.swap_due", swap_due_);
+    io.u64("adapt.arm_tick", arm_tick_);
+    io.f64vec("adapt.cal_sum", cal_sum_sq_);
+    io.u64("adapt.cal_n", cal_count_);
+    io.f64vec("adapt.cal_scale", cal_scale_);
+    if constexpr (Io::kLoading) {
+        if (cal_sum_sq_.size() != reference_.numOutputs() ||
+            cal_scale_.size() != reference_.numOutputs()) {
+            throw std::runtime_error(
+                "OnlineAdapter: calibration size mismatch");
+        }
     }
-    saveArx(w, "adapt.ref", reference_);
-    rls_.save(w);
-    cusum_.save(w);
+    io.i64("adapt.drift_events", drift_events_);
+    io.i64("adapt.syntheses", syntheses_);
+    io.i64("adapt.cache_hits", cache_hits_);
+    io.i64("adapt.swaps", swaps_);
+    io.str("adapt.pending", pending_text_);
+    io.str("adapt.installed", installed_text_);
+    bool has_snapshot = snapshot_.has_value();
+    io.boolean("adapt.has_snapshot", has_snapshot);
+    if constexpr (Io::kLoading) {
+        snapshot_.reset();
+        if (has_snapshot) {
+            snapshot_ = loadArx(io, "adapt.snap");
+        }
+        reference_ = loadArx(io, "adapt.ref");
+    } else {
+        if (has_snapshot) {
+            saveArx(io, "adapt.snap", *snapshot_);
+        }
+        saveArx(io, "adapt.ref", reference_);
+    }
+    rls_.state(io);
+    cusum_.state(io);
 }
 
-void
-OnlineAdapter::load(obs::StateReader& r)
-{
-    phase_ = static_cast<Phase>(r.i64("adapt.phase"));
-    tick_ = r.u64("adapt.tick");
-    drift_tick_ = r.u64("adapt.drift_tick");
-    swap_due_ = r.u64("adapt.swap_due");
-    arm_tick_ = r.u64("adapt.arm_tick");
-    cal_sum_sq_ = r.f64vec("adapt.cal_sum");
-    cal_count_ = r.u64("adapt.cal_n");
-    cal_scale_ = r.f64vec("adapt.cal_scale");
-    if (cal_sum_sq_.size() != reference_.numOutputs() ||
-        cal_scale_.size() != reference_.numOutputs()) {
-        throw std::runtime_error("OnlineAdapter: calibration size mismatch");
-    }
-    drift_events_ = static_cast<long>(r.i64("adapt.drift_events"));
-    syntheses_ = static_cast<long>(r.i64("adapt.syntheses"));
-    cache_hits_ = static_cast<long>(r.i64("adapt.cache_hits"));
-    swaps_ = static_cast<long>(r.i64("adapt.swaps"));
-    pending_text_ = r.str("adapt.pending");
-    installed_text_ = r.str("adapt.installed");
-    if (r.boolean("adapt.has_snapshot")) {
-        snapshot_ = loadArx(r, "adapt.snap");
-    } else {
-        snapshot_.reset();
-    }
-    reference_ = loadArx(r, "adapt.ref");
-    rls_.load(r);
-    cusum_.load(r);
-}
+template void OnlineAdapter::state(obs::StateWriter&);
+template void OnlineAdapter::state(obs::StateReader&);
 
 std::unique_ptr<OnlineAdapter>
 makeHwAdapter(const Artifacts& artifacts, const AdaptOptions& options)

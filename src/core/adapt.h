@@ -96,6 +96,9 @@ class OnlineAdapter
         kDisabled = 4,
     };
 
+    /** The last phase; bounds a restored one (obs/stateio.h, via ADL). */
+    friend constexpr Phase lastEnumerator(Phase) { return Phase::kDisabled; }
+
     /**
      * @param spec hardware-layer declaration (grids, bounds).
      * @param num_external trailing external columns in the u samples.
@@ -188,11 +191,12 @@ class OnlineAdapter
      */
     void setTraceSink(obs::TraceSink* sink) { sink_ = sink; }
 
-    /** Serializes the adapter (estimator, detector, phase, texts). */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save(). */
-    void load(obs::StateReader& r);
+    /**
+     * Writes or restores the adapter: estimator, detector, phase,
+     * texts (obs/stateio.h).
+     */
+    template <class Io>
+    void state(Io& io);
 
   private:
     LayerSpec spec_;

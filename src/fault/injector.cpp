@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/trace.h"
@@ -244,48 +245,32 @@ FaultInjector::dropTick(double t, int period)
     return false;
 }
 
+template <class Io>
 void
-FaultInjector::save(obs::StateWriter& w) const
+FaultInjector::state(Io& io)
 {
-    w.engine("inj.rng", rng_);
-    w.distribution("inj.jitter", jitter_);
+    io.engine("inj.rng", rng_);
+    io.distribution("inj.jitter", jitter_);
     std::vector<std::uint64_t> latched(latched_.begin(), latched_.end());
-    w.u64vec("inj.latched", latched);
-    w.u64("inj.latch.n", latch_.size());
-    for (std::size_t i = 0; i < latch_.size(); ++i) {
-        const std::string p = "inj.latch." + std::to_string(i);
-        w.f64(p + ".p_big", latch_[i].p_big);
-        w.f64(p + ".p_little", latch_[i].p_little);
-        w.f64(p + ".temp", latch_[i].temp);
-        w.f64(p + ".instr_big", latch_[i].instr_big);
-        w.f64(p + ".instr_little", latch_[i].instr_little);
+    io.u64vec("inj.latched", latched);
+    if constexpr (Io::kLoading) {
+        if (latched.size() != latched_.size()) {
+            throw std::runtime_error(
+                "FaultInjector: 'inj.latched' does not match the plan");
+        }
+        latched_.assign(latched.begin(), latched.end());
     }
-    w.u64("inj.corrupted_ticks", stats_.corrupted_ticks);
-    w.u64("inj.corrupted_fields", stats_.corrupted_fields);
-    w.u64("inj.actuator_faults", stats_.actuator_faults);
-    w.u64("inj.dropped_ticks", stats_.dropped_ticks);
+    io.expect("inj.latch.n", latch_.size());
+    for (std::size_t i = 0; i < latch_.size(); ++i) {
+        latch_[i].state(io, "inj.latch." + std::to_string(i));
+    }
+    io.u64("inj.corrupted_ticks", stats_.corrupted_ticks);
+    io.u64("inj.corrupted_fields", stats_.corrupted_fields);
+    io.u64("inj.actuator_faults", stats_.actuator_faults);
+    io.u64("inj.dropped_ticks", stats_.dropped_ticks);
 }
 
-void
-FaultInjector::load(obs::StateReader& r)
-{
-    r.engine("inj.rng", rng_);
-    r.distribution("inj.jitter", jitter_);
-    const auto latched = r.u64vec("inj.latched");
-    latched_.assign(latched.begin(), latched.end());
-    latch_.resize(r.u64("inj.latch.n"));
-    for (std::size_t i = 0; i < latch_.size(); ++i) {
-        const std::string p = "inj.latch." + std::to_string(i);
-        latch_[i].p_big = r.f64(p + ".p_big");
-        latch_[i].p_little = r.f64(p + ".p_little");
-        latch_[i].temp = r.f64(p + ".temp");
-        latch_[i].instr_big = r.f64(p + ".instr_big");
-        latch_[i].instr_little = r.f64(p + ".instr_little");
-    }
-    stats_.corrupted_ticks = r.u64("inj.corrupted_ticks");
-    stats_.corrupted_fields = r.u64("inj.corrupted_fields");
-    stats_.actuator_faults = r.u64("inj.actuator_faults");
-    stats_.dropped_ticks = r.u64("inj.dropped_ticks");
-}
+template void FaultInjector::state(obs::StateWriter&);
+template void FaultInjector::state(obs::StateReader&);
 
 }  // namespace yukta::fault

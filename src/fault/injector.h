@@ -81,11 +81,12 @@ class FaultInjector
      */
     void attachTrace(obs::TraceSink* sink) { trace_ = sink; }
 
-    /** Appends RNG, latch, and tally state to @p w (not the plan). */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save (same plan required). */
-    void load(obs::StateReader& r);
+    /**
+     * Writes or restores RNG, latch, and tally state, not the plan
+     * (obs/stateio.h); a restore needs the same plan.
+     */
+    template <class Io>
+    void state(Io& io);
 
   private:
     obs::TraceSink* trace_ = nullptr;

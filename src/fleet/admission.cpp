@@ -19,29 +19,21 @@ AdmissionStats::toJson() const
     return os.str();
 }
 
+template <class Io>
 void
-AdmissionStats::save(obs::StateWriter& w) const
+AdmissionStats::state(Io& io)
 {
-    w.i64("adm.offered", offered);
-    w.i64("adm.accepted", accepted);
-    w.i64("adm.rejected", rejected);
-    w.i64("adm.rerouted", rerouted);
-    w.f64("adm.offered_gi", offered_gi);
-    w.f64("adm.accepted_gi", accepted_gi);
-    w.f64("adm.rejected_gi", rejected_gi);
+    io.i64("adm.offered", offered);
+    io.i64("adm.accepted", accepted);
+    io.i64("adm.rejected", rejected);
+    io.i64("adm.rerouted", rerouted);
+    io.f64("adm.offered_gi", offered_gi);
+    io.f64("adm.accepted_gi", accepted_gi);
+    io.f64("adm.rejected_gi", rejected_gi);
 }
 
-void
-AdmissionStats::load(obs::StateReader& r)
-{
-    offered = r.i64("adm.offered");
-    accepted = r.i64("adm.accepted");
-    rejected = r.i64("adm.rejected");
-    rerouted = r.i64("adm.rerouted");
-    offered_gi = r.f64("adm.offered_gi");
-    accepted_gi = r.f64("adm.accepted_gi");
-    rejected_gi = r.f64("adm.rejected_gi");
-}
+template void AdmissionStats::state(obs::StateWriter&);
+template void AdmissionStats::state(obs::StateReader&);
 
 AdmissionController::AdmissionController(AdmissionConfig cfg, int boards)
     : cfg_(cfg), boards_(boards)

@@ -56,11 +56,9 @@ struct AdmissionStats
     /** @return canonical JSON object for these counters. */
     std::string toJson() const;
 
-    /** Appends the counters to @p w (fleet checkpointing). */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores counters written by save. */
-    void load(obs::StateReader& r);
+    /** Writes or restores the counters (fleet checkpointing). */
+    template <class Io>
+    void state(Io& io);
 };
 
 /**
@@ -92,11 +90,12 @@ class AdmissionController
     /** @return outcome tallies accumulated across route() calls. */
     const AdmissionStats& stats() const { return stats_; }
 
-    /** Appends routing counters to @p w (fleet checkpointing). */
-    void save(obs::StateWriter& w) const { stats_.save(w); }
-
-    /** Restores counters written by save. */
-    void load(obs::StateReader& r) { stats_.load(r); }
+    /** Writes or restores the routing counters (fleet checkpointing). */
+    template <class Io>
+    void state(Io& io)
+    {
+        stats_.state(io);
+    }
 
     /** @return the validated configuration. */
     const AdmissionConfig& config() const { return cfg_; }

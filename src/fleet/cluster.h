@@ -79,16 +79,11 @@ class ClusterController
     /** Bumps the round counter (fleet calls this when it applies). */
     void noteRound() { ++rounds_; }
 
-    /** Appends the round counter to @p w (fleet checkpointing). */
-    void save(obs::StateWriter& w) const
+    /** Writes or restores the round counter (fleet checkpointing). */
+    template <class Io>
+    void state(Io& io)
     {
-        w.i64("cluster.rounds", rounds_);
-    }
-
-    /** Restores state written by save. */
-    void load(obs::StateReader& r)
-    {
-        rounds_ = static_cast<int>(r.i64("cluster.rounds"));
+        io.i64("cluster.rounds", rounds_);
     }
 
     /** @return the validated configuration. */

@@ -193,31 +193,22 @@ FaultDomainStats::toJson() const
     return os.str();
 }
 
+template <class Io>
 void
-FaultDomainStats::save(obs::StateWriter& w) const
+FaultDomainStats::state(Io& io)
 {
-    w.i64("fd.crashes", crashes);
-    w.i64("fd.reboots", reboots);
-    w.i64("fd.dropped_requests", dropped_requests);
-    w.f64("fd.dropped_gi", dropped_gi);
-    w.i64("fd.lost_epochs", lost_epochs);
-    w.i64("fd.degraded_epochs", degraded_epochs);
-    w.i64("fd.watchdog_timeouts", watchdog_timeouts);
-    w.i64("fd.shard_retries", shard_retries);
+    io.i64("fd.crashes", crashes);
+    io.i64("fd.reboots", reboots);
+    io.i64("fd.dropped_requests", dropped_requests);
+    io.f64("fd.dropped_gi", dropped_gi);
+    io.i64("fd.lost_epochs", lost_epochs);
+    io.i64("fd.degraded_epochs", degraded_epochs);
+    io.i64("fd.watchdog_timeouts", watchdog_timeouts);
+    io.i64("fd.shard_retries", shard_retries);
 }
 
-void
-FaultDomainStats::load(obs::StateReader& r)
-{
-    crashes = r.i64("fd.crashes");
-    reboots = r.i64("fd.reboots");
-    dropped_requests = r.i64("fd.dropped_requests");
-    dropped_gi = r.f64("fd.dropped_gi");
-    lost_epochs = r.i64("fd.lost_epochs");
-    degraded_epochs = r.i64("fd.degraded_epochs");
-    watchdog_timeouts = r.i64("fd.watchdog_timeouts");
-    shard_retries = r.i64("fd.shard_retries");
-}
+template void FaultDomainStats::state(obs::StateWriter&);
+template void FaultDomainStats::state(obs::StateReader&);
 
 std::string
 AdaptStats::toJson() const
@@ -880,68 +871,95 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
 }
 
 void
-FleetSim::saveCheckpoint(const std::string& path) const
+FleetSim::saveCheckpoint(const std::string& path)
 {
     writeCheckpoint(path, checkpointBody());
 }
 
 std::string
-FleetSim::checkpointBody() const
+FleetSim::checkpointBody()
 {
     obs::StateWriter w(kCheckpointBytesPerBoard * boards_.size());
     w.u64("ckpt.version", kCheckpointVersion);
     w.str("ckpt.config", cfg_.canonical());
-    w.u64("ckpt.epoch", static_cast<std::uint64_t>(epoch_));
-    w.boolean("ckpt.cluster_supported", cluster_supported_);
-    admission_.save(w);
-    cluster_.save(w);
-    fault_stats_.save(w);
+    state(w);
+    std::string body = w.take();
+    body += "ckpt.digest=" + hex64(obs::fnv1a(body)) + "\n";
+    return body;
+}
+
+template <class Io>
+void
+FleetSim::state(Io& io)
+{
+    io.u64("ckpt.epoch", epoch_);
+    io.boolean("ckpt.cluster_supported", cluster_supported_);
+    admission_.state(io);
+    cluster_.state(io);
+    fault_stats_.state(io);
     std::vector<std::uint64_t> entered(crash_entered_.begin(),
                                        crash_entered_.end());
     std::vector<std::uint64_t> exited(crash_exited_.begin(),
                                       crash_exited_.end());
-    w.u64vec("ckpt.crash_entered", entered);
-    w.u64vec("ckpt.crash_exited", exited);
-    w.u64("ckpt.boards", boards_.size());
-    for (const auto& fbp : boards_) {
-        const FleetBoard& fb = *fbp;
-        w.u64("fb.queue.n", fb.queue.size());
-        for (const Request& q : fb.queue) {
-            w.f64("fb.q.arrival", q.arrival_time);
-            w.f64("fb.q.demand", q.demand_gi);
-            w.f64("fb.q.remaining", q.remaining_gi);
-            w.i64("fb.q.origin", q.origin);
+    io.u64vec("ckpt.crash_entered", entered);
+    io.u64vec("ckpt.crash_exited", exited);
+    if constexpr (Io::kLoading) {
+        if (entered.size() != cfg_.faults.windows.size() ||
+            exited.size() != cfg_.faults.windows.size()) {
+            throw std::runtime_error(
+                "FleetSim: checkpoint fault-window count mismatch");
         }
-        w.f64("fb.queued_gi", fb.queued_gi);
-        w.f64("fb.last_instr", fb.last_instr);
-        w.f64("fb.last_energy", fb.last_energy);
-        w.f64("fb.arrival_gi_ema", fb.arrival_gi_ema);
-        w.f64("fb.bips_ema", fb.bips_ema);
-        w.f64("fb.power_ema", fb.power_ema);
-        fb.latency.save(w);
-        fb.epoch_bips.save(w);
-        fb.epoch_power.save(w);
-        w.i64("fb.completed", fb.completed);
-        w.f64("fb.served_gi", fb.served_gi);
-        w.f64("fb.slo_violation_time", fb.slo_violation_time);
-        w.boolean("fb.down", fb.down);
-        w.f64("fb.lost_until", fb.lost_until);
-        w.i64("fb.reboots", fb.reboots);
-        w.f64("fb.carried_energy", fb.carried_energy);
-        w.f64("fb.carried_violation", fb.carried_violation);
-        w.f64("fb.carried_emergency", fb.carried_emergency);
+        crash_entered_.assign(entered.begin(), entered.end());
+        crash_exited_.assign(exited.begin(), exited.end());
+    }
+    io.expect("ckpt.boards", boards_.size());
+    for (const auto& fbp : boards_) {
+        FleetBoard& fb = *fbp;
+        io.count("fb.queue.n", fb.queue);
+        for (Request& q : fb.queue) {
+            io.f64("fb.q.arrival", q.arrival_time);
+            io.f64("fb.q.demand", q.demand_gi);
+            io.f64("fb.q.remaining", q.remaining_gi);
+            io.i64("fb.q.origin", q.origin);
+        }
+        io.f64("fb.queued_gi", fb.queued_gi);
+        io.f64("fb.last_instr", fb.last_instr);
+        io.f64("fb.last_energy", fb.last_energy);
+        io.f64("fb.arrival_gi_ema", fb.arrival_gi_ema);
+        io.f64("fb.bips_ema", fb.bips_ema);
+        io.f64("fb.power_ema", fb.power_ema);
+        fb.latency.state(io);
+        fb.epoch_bips.state(io);
+        fb.epoch_power.state(io);
+        io.i64("fb.completed", fb.completed);
+        io.f64("fb.served_gi", fb.served_gi);
+        io.f64("fb.slo_violation_time", fb.slo_violation_time);
+        io.boolean("fb.down", fb.down);
+        io.f64("fb.lost_until", fb.lost_until);
+        io.i64("fb.reboots", fb.reboots);
+        io.f64("fb.carried_energy", fb.carried_energy);
+        io.f64("fb.carried_violation", fb.carried_violation);
+        io.f64("fb.carried_emergency", fb.carried_emergency);
         // Adapter state precedes the system snapshot: restore must
         // re-install any swapped hardware runtime *before* loading the
         // system so the controller state sizes match the stream.
-        w.boolean("fb.adapt", fb.adapter != nullptr);
+        io.expect("fb.adapt", fb.adapter != nullptr,
+                  "restore with the same --adapt setting it was saved "
+                  "with");
         if (fb.adapter != nullptr) {
-            fb.adapter->save(w);
+            fb.adapter->state(io);
+            if constexpr (Io::kLoading) {
+                if (fb.adapter->hasInstalledController() &&
+                    !fb.system.installHwRuntime(
+                        fb.adapter->makeInstalledRuntime())) {
+                    throw std::runtime_error(
+                        "FleetSim: checkpoint carries a swapped hardware "
+                        "controller but the scheme cannot install one");
+                }
+            }
         }
-        fb.system.save(w);
+        fb.system.state(io);
     }
-    std::string body = w.take();
-    body += "ckpt.digest=" + hex64(obs::fnv1a(body)) + "\n";
-    return body;
 }
 
 void
@@ -997,75 +1015,7 @@ FleetSim::restoreCheckpoint(const std::string& path)
             "FleetSim: checkpoint config mismatch:\n  checkpoint: " +
             config + "\n  runtime:    " + cfg_.canonical());
     }
-    epoch_ = static_cast<int>(r.u64("ckpt.epoch"));
-    cluster_supported_ = r.boolean("ckpt.cluster_supported");
-    admission_.load(r);
-    cluster_.load(r);
-    fault_stats_.load(r);
-    const std::vector<std::uint64_t> entered =
-        r.u64vec("ckpt.crash_entered");
-    const std::vector<std::uint64_t> exited =
-        r.u64vec("ckpt.crash_exited");
-    if (entered.size() != cfg_.faults.windows.size() ||
-        exited.size() != cfg_.faults.windows.size()) {
-        throw std::runtime_error(
-            "FleetSim: checkpoint fault-window count mismatch");
-    }
-    crash_entered_.assign(entered.begin(), entered.end());
-    crash_exited_.assign(exited.begin(), exited.end());
-    const std::uint64_t n = r.u64("ckpt.boards");
-    if (n != boards_.size()) {
-        throw std::runtime_error(
-            "FleetSim: checkpoint board count mismatch");
-    }
-    for (const auto& fbp : boards_) {
-        FleetBoard& fb = *fbp;
-        const std::uint64_t qn = r.u64("fb.queue.n");
-        fb.queue.clear();
-        for (std::uint64_t i = 0; i < qn; ++i) {
-            Request q;
-            q.arrival_time = r.f64("fb.q.arrival");
-            q.demand_gi = r.f64("fb.q.demand");
-            q.remaining_gi = r.f64("fb.q.remaining");
-            q.origin = static_cast<int>(r.i64("fb.q.origin"));
-            fb.queue.push_back(q);
-        }
-        fb.queued_gi = r.f64("fb.queued_gi");
-        fb.last_instr = r.f64("fb.last_instr");
-        fb.last_energy = r.f64("fb.last_energy");
-        fb.arrival_gi_ema = r.f64("fb.arrival_gi_ema");
-        fb.bips_ema = r.f64("fb.bips_ema");
-        fb.power_ema = r.f64("fb.power_ema");
-        fb.latency.load(r);
-        fb.epoch_bips.load(r);
-        fb.epoch_power.load(r);
-        fb.completed = r.i64("fb.completed");
-        fb.served_gi = r.f64("fb.served_gi");
-        fb.slo_violation_time = r.f64("fb.slo_violation_time");
-        fb.down = r.boolean("fb.down");
-        fb.lost_until = r.f64("fb.lost_until");
-        fb.reboots = r.i64("fb.reboots");
-        fb.carried_energy = r.f64("fb.carried_energy");
-        fb.carried_violation = r.f64("fb.carried_violation");
-        fb.carried_emergency = r.f64("fb.carried_emergency");
-        const bool had_adapter = r.boolean("fb.adapt");
-        if (had_adapter != (fb.adapter != nullptr)) {
-            throw std::runtime_error(
-                "FleetSim: checkpoint adaptation mismatch (restore "
-                "with the same --adapt setting it was saved with)");
-        }
-        if (fb.adapter != nullptr) {
-            fb.adapter->load(r);
-            if (fb.adapter->hasInstalledController() &&
-                !fb.system.installHwRuntime(
-                    fb.adapter->makeInstalledRuntime())) {
-                throw std::runtime_error(
-                    "FleetSim: checkpoint carries a swapped hardware "
-                    "controller but the scheme cannot install one");
-            }
-        }
-        fb.system.load(r);
-    }
+    state(r);
     if (!r.atEnd()) {
         throw std::runtime_error(
             "FleetSim: trailing checkpoint state in " + path);

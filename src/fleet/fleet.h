@@ -220,11 +220,9 @@ struct FaultDomainStats
     /** @return canonical JSON object for these counters. */
     std::string toJson() const;
 
-    /** Appends the counters to @p w (fleet checkpointing). */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores counters written by save. */
-    void load(obs::StateReader& r);
+    /** Writes or restores the counters (fleet checkpointing). */
+    template <class Io>
+    void state(Io& io);
 };
 
 /**
@@ -336,15 +334,19 @@ class FleetSim
      * stamp, written atomically via tmp+rename.
      * @throws std::runtime_error when the file cannot be written.
      */
-    void saveCheckpoint(const std::string& path) const;
+    void saveCheckpoint(const std::string& path);
 
     /**
      * Restores state written by saveCheckpoint. The snapshot must
      * carry a matching format version and an identical
      * FleetConfig::canonical() (same artifacts assumed); the digest
      * stamp must verify. run() then resumes from the saved epoch.
+     * The stamp, version and config are checked before any state is
+     * touched; a failure after that (a malformed field, a value that
+     * does not fit its member) leaves the fleet partly restored, so a
+     * FleetSim whose restore threw must be discarded.
      * @throws std::runtime_error on read failure, digest mismatch,
-     * version/config mismatch, or malformed state.
+     * version/config mismatch, or malformed or out-of-range state.
      */
     void restoreCheckpoint(const std::string& path);
 
@@ -378,7 +380,11 @@ class FleetSim
     std::uint32_t boardSeed(int b) const;
 
     /** @return the saveCheckpoint() file body, digest stamp included. */
-    std::string checkpointBody() const;
+    std::string checkpointBody();
+
+    /** Writes or restores all state after the version/config header. */
+    template <class Io>
+    void state(Io& io);
 
     /** Applies crash entries and cold reboots due at @p t0. */
     void applyCrashTransitions(int epoch, double t0);

@@ -145,43 +145,27 @@ boundsFingerprint(const std::vector<double>& bounds)
 
 }  // namespace
 
+template <class Io>
 void
-MergeableHistogram::save(StateWriter& w) const
+MergeableHistogram::state(Io& io)
 {
-    w.u64("hist.bounds", bounds_.size());
-    w.u64("hist.bounds_fnv1a", boundsFingerprint(bounds_));
-    w.i64vec("hist.counts", counts_);
-    w.i64("hist.count", count_);
-    w.f64("hist.sum", sum_);
-    w.f64("hist.min", min_);
-    w.f64("hist.max", max_);
+    io.expect("hist.bounds", bounds_.size());
+    io.expect("hist.bounds_fnv1a", boundsFingerprint(bounds_));
+    io.i64vec("hist.counts", counts_);
+    if constexpr (Io::kLoading) {
+        if (counts_.size() != bounds_.size() + 1) {
+            throw std::runtime_error(
+                "MergeableHistogram: bucket count mismatch");
+        }
+    }
+    io.i64("hist.count", count_);
+    io.f64("hist.sum", sum_);
+    io.f64("hist.min", min_);
+    io.f64("hist.max", max_);
 }
 
-void
-MergeableHistogram::load(StateReader& r)
-{
-    const std::uint64_t n = r.u64("hist.bounds");
-    const std::uint64_t fingerprint = r.u64("hist.bounds_fnv1a");
-    const std::uint64_t own = boundsFingerprint(bounds_);
-    if (n != bounds_.size() || fingerprint != own) {
-        throw std::runtime_error(
-            "MergeableHistogram::load: saved bucket bounds (" +
-            std::to_string(n) + ", fingerprint " +
-            std::to_string(fingerprint) + ") differ from this "
-            "histogram's (" + std::to_string(bounds_.size()) +
-            ", fingerprint " + std::to_string(own) + ")");
-    }
-    std::vector<long long> counts = r.i64vec("hist.counts");
-    if (counts.size() != bounds_.size() + 1) {
-        throw std::runtime_error(
-            "MergeableHistogram::load: bucket count mismatch");
-    }
-    counts_ = std::move(counts);
-    count_ = r.i64("hist.count");
-    sum_ = r.f64("hist.sum");
-    min_ = r.f64("hist.min");
-    max_ = r.f64("hist.max");
-}
+template void MergeableHistogram::state(StateWriter&);
+template void MergeableHistogram::state(StateReader&);
 
 void
 RunningStat::add(double v)
@@ -224,23 +208,18 @@ RunningStat::toJson() const
     return os.str();
 }
 
+template <class Io>
 void
-RunningStat::save(StateWriter& w) const
+RunningStat::state(Io& io)
 {
-    w.i64("stat.count", count);
-    w.f64("stat.sum", sum);
-    w.f64("stat.min", min);
-    w.f64("stat.max", max);
+    io.i64("stat.count", count);
+    io.f64("stat.sum", sum);
+    io.f64("stat.min", min);
+    io.f64("stat.max", max);
 }
 
-void
-RunningStat::load(StateReader& r)
-{
-    count = r.i64("stat.count");
-    sum = r.f64("stat.sum");
-    min = r.f64("stat.min");
-    max = r.f64("stat.max");
-}
+template void RunningStat::state(StateWriter&);
+template void RunningStat::state(StateReader&);
 
 std::uint64_t
 fnv1a(std::string_view text)

@@ -102,19 +102,16 @@ class MergeableHistogram
     std::string toJson() const;
 
     /**
-     * Appends the histogram state to @p w. The bounds, which the
-     * owner's configuration fixes, go in as their count and an FNV-1a
-     * fingerprint of their bit patterns, not as values.
+     * Writes or restores the histogram state (obs/stateio.h). The
+     * bounds, which the owner's configuration fixes, go in as their
+     * count and an FNV-1a fingerprint of their bit patterns, not as
+     * values, so a restore needs a histogram built with the same
+     * bounds.
+     * @throws std::runtime_error when restoring into a histogram
+     * whose bounds differ from the saved one's.
      */
-    void save(StateWriter& w) const;
-
-    /**
-     * Restores the counts written by save into a histogram built with
-     * the same bounds.
-     * @throws std::runtime_error when this histogram's bounds differ
-     * from the saved one's.
-     */
-    void load(StateReader& r);
+    template <class Io>
+    void state(Io& io);
 
   private:
     std::vector<double> bounds_;
@@ -148,11 +145,9 @@ struct RunningStat
     /** @return canonical JSON object for this stat. */
     std::string toJson() const;
 
-    /** Appends the stat's fields to @p w. */
-    void save(StateWriter& w) const;
-
-    /** Restores state written by save. */
-    void load(StateReader& r);
+    /** Writes or restores the stat's fields (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io);
 };
 
 /**

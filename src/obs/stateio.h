@@ -6,10 +6,12 @@
  * Bit-exact state snapshot encoding for checkpoint/resume.
  *
  * A checkpoint is a flat, strictly ordered `key=value` text stream.
- * Every stateful component appends its fields through StateWriter and
- * reads them back through StateReader in the same order; a mismatch
- * (missing field, renamed key, version skew) fails loudly with the
- * offending key instead of silently desynchronizing the simulation.
+ * Every stateful component lists its fields once, in a member
+ * `template <class Io> void state(Io& io)` instantiated for both
+ * classes here, which share their field names: each field is one
+ * direct call that writes it or reads it back into the same member.
+ * A mismatch (missing field, renamed key, version skew, a value that
+ * does not fit its member) fails loudly with the offending key.
  *
  * StateWriter appends every field straight into one std::string, and
  * StateReader walks that string with one cursor, so neither side
@@ -32,6 +34,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/mt19937.h"
@@ -70,6 +74,14 @@ class StateWriter
     void u64vec(std::string_view key,
                 const std::vector<std::uint64_t>& v);
 
+    /** Writes an enumerator as its underlying value. */
+    template <typename E>
+        requires std::is_enum_v<E>
+    void u64(std::string_view key, E v)
+    {
+        u64(key, static_cast<std::uint64_t>(v));
+    }
+
     /** Writes `key=<position>:` then the 624 state words in hex. */
     void engine(std::string_view key, const Mt19937& e);
 
@@ -90,6 +102,30 @@ class StateWriter
         str(key, os.str());
     }
 
+    /** Writes @p c's element count; the caller then writes each. */
+    template <typename C>
+    void count(std::string_view key, const C& c)
+    {
+        u64(key, c.size());
+    }
+
+    /**
+     * Writes @p v, a bool or a count that StateReader::expect requires
+     * the restoring instance's own value to equal.
+     */
+    template <typename T>
+    void expect(std::string_view key, T v, std::string_view /*hint*/ = {})
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            boolean(key, v);
+        } else {
+            u64(key, v);
+        }
+    }
+
+    /** state(Io&) guards restore-only work with this. */
+    static constexpr bool kLoading = false;
+
     /** @return the accumulated body, moved out; the writer is empty. */
     std::string take() { return std::move(buf_); }
 
@@ -102,9 +138,10 @@ class StateWriter
 
 /**
  * Strictly sequential reader over a StateWriter body. Each accessor
- * consumes the next line and requires its key to match.
+ * consumes the next line and requires its key to match; the reference
+ * forms store the field into a member, range-checked.
  * @throws std::runtime_error naming the key on key mismatch,
- * malformed values, or reading past the end.
+ * malformed or out-of-range values, or reading past the end.
  */
 class StateReader
 {
@@ -136,6 +173,39 @@ class StateReader
     /** Reads a u64vec written by StateWriter::u64vec. */
     std::vector<std::uint64_t> u64vec(std::string_view key);
 
+    /**
+     * Reads an unsigned field into @p out: an integer it must fit, or
+     * an enum E it must not take past lastEnumerator(E), which
+     * argument-dependent lookup finds next to the enum.
+     */
+    template <typename T>
+    void u64(std::string_view key, T& out)
+    {
+        out = fit<T>(key, u64(key));
+    }
+
+    /** Reads a signed field into @p out, range-checked like u64. */
+    template <typename T>
+    void i64(std::string_view key, T& out)
+    {
+        out = fit<T>(key, i64(key));
+    }
+
+    /** Reference forms of the readers above: field @p k into @p v. */
+    void boolean(std::string_view k, bool& v) { v = boolean(k); }
+    void f64(std::string_view k, double& v) { v = f64(k); }
+    void str(std::string_view k, std::string& v) { v = str(k); }
+    void f64vec(std::string_view k, std::vector<double>& v) { v = f64vec(k); }
+    void i64vec(std::string_view k, std::vector<long long>& v)
+    {
+        v = i64vec(k);
+    }
+    /** Reference form of u64vec. */
+    void u64vec(std::string_view k, std::vector<std::uint64_t>& v)
+    {
+        v = u64vec(k);
+    }
+
     /** Restores @p e from a field written by StateWriter::engine. */
     void engine(std::string_view key, Mt19937& e);
 
@@ -153,12 +223,67 @@ class StateReader
         }
     }
 
+    /**
+     * Reads a StateWriter::count and resizes @p c to it, refusing a
+     * count larger than the bytes left in the body (each element takes
+     * at least one) before anything allocates.
+     */
+    template <typename C>
+    void count(std::string_view key, C& c)
+    {
+        const std::uint64_t n = u64(key);
+        if (n > body_.size() - pos_) {
+            failKey(key, "count " + std::to_string(n) +
+                             " exceeds the bytes left");
+        }
+        c.resize(n);
+    }
+
+    /**
+     * Reads a StateWriter::expect field, which must equal @p want.
+     * @throws std::runtime_error naming the key, both values and
+     * @p hint (what to change to restore) when they differ.
+     */
+    template <typename T>
+    void expect(std::string_view key, T want, std::string_view hint = {})
+    {
+        const std::uint64_t got =
+            std::is_same_v<T, bool> ? boolean(key) : u64(key);
+        if (got != static_cast<std::uint64_t>(want)) {
+            failKey(key, "saved " + std::to_string(got) +
+                             " where this instance has " +
+                             std::to_string(want) +
+                             (hint.empty() ? "" : "; " + std::string(hint)));
+        }
+    }
+
+    /** state(Io&) guards restore-only work with this. */
+    static constexpr bool kLoading = true;
+
     /** @return true when every field has been consumed. */
     bool atEnd() const { return pos_ == body_.size(); }
 
   private:
     std::string body_;
     std::size_t pos_ = 0;
+
+    /** @return @p v as a T; throws naming @p key when it does not fit. */
+    template <typename T, typename V>
+    T fit(std::string_view key, V v) const
+    {
+        if constexpr (std::is_enum_v<T>) {
+            if (std::cmp_less(v, 0) ||
+                std::cmp_greater(v, static_cast<std::underlying_type_t<T>>(
+                                        lastEnumerator(T{})))) {
+                failKey(key, "value " + std::to_string(v) +
+                                 " is past the last enumerator");
+            }
+        } else if (!std::in_range<T>(v)) {
+            failKey(key, "value " + std::to_string(v) +
+                             " does not fit the field's type");
+        }
+        return static_cast<T>(v);
+    }
 
     /** @return the value of the next field, which must be @p key. */
     std::string_view next(std::string_view key);

@@ -370,20 +370,6 @@ Board::stepOnce()
     }
 }
 
-namespace {
-
-std::vector<std::uint64_t> toU64(const std::vector<std::size_t>& v)
-{
-    return {v.begin(), v.end()};
-}
-
-std::vector<std::size_t> fromU64(const std::vector<std::uint64_t>& v)
-{
-    return {v.begin(), v.end()};
-}
-
-}  // namespace
-
 void
 Board::setPowerDriftScale(double scale)
 {
@@ -397,97 +383,63 @@ Board::setPowerDriftScale(double scale)
     drift_scale_ = scale;
 }
 
+template <class Io>
 void
-Board::save(obs::StateWriter& w) const
+Board::state(Io& io)
 {
-    thermal_.save(w);
-    sensors_.save(w);
-    tmu_.save(w);
-    workload_.save(w);
+    thermal_.state(io);
+    sensors_.state(io);
+    tmu_.state(io);
+    workload_.state(io);
 
-    w.u64("board.req.big_cores", requested_.big_cores);
-    w.u64("board.req.little_cores", requested_.little_cores);
-    w.f64("board.req.freq_big", requested_.freq_big);
-    w.f64("board.req.freq_little", requested_.freq_little);
-    w.u64("board.app.big_cores", applied_.big_cores);
-    w.u64("board.app.little_cores", applied_.little_cores);
-    w.f64("board.app.freq_big", applied_.freq_big);
-    w.f64("board.app.freq_little", applied_.freq_little);
+    io.u64("board.req.big_cores", requested_.big_cores);
+    io.u64("board.req.little_cores", requested_.little_cores);
+    io.f64("board.req.freq_big", requested_.freq_big);
+    io.f64("board.req.freq_little", requested_.freq_little);
+    io.u64("board.app.big_cores", applied_.big_cores);
+    io.u64("board.app.little_cores", applied_.little_cores);
+    io.f64("board.app.freq_big", applied_.freq_big);
+    io.f64("board.app.freq_little", applied_.freq_little);
 
-    w.f64("board.policy.threads_big", policy_.threads_big);
-    w.f64("board.policy.tpc_big", policy_.tpc_big);
-    w.f64("board.policy.tpc_little", policy_.tpc_little);
+    io.f64("board.policy.threads_big", policy_.threads_big);
+    io.f64("board.policy.tpc_big", policy_.tpc_big);
+    io.f64("board.policy.tpc_little", policy_.tpc_little);
 
-    w.u64vec("board.place.big", toU64(placement_.big_core_threads));
-    w.u64vec("board.place.little", toU64(placement_.little_core_threads));
+    io.u64vec("board.place.big", placement_.big_core_threads);
+    io.u64vec("board.place.little", placement_.little_core_threads);
     std::vector<std::uint64_t> clusters;
     clusters.reserve(placement_.thread_cluster.size());
-    for (ClusterId c : placement_.thread_cluster) {
+    for (const ClusterId c : placement_.thread_cluster) {
         clusters.push_back(c == ClusterId::kBig ? 1 : 0);
     }
-    w.u64vec("board.place.cluster", clusters);
-    w.u64vec("board.place.core", toU64(placement_.thread_core));
-    w.u64("board.place.version", placement_version_);
-
-    w.f64("board.time", time_);
-    w.f64("board.energy", energy_);
-    w.f64("board.true_p_big", true_p_big_);
-    w.f64("board.true_p_little", true_p_little_);
-    w.f64("board.migration_stall", migration_stall_left_);
-    w.f64("board.violation_time", violation_time_);
-    w.u64("board.rejected_inputs", rejected_inputs_);
-    w.f64("board.instr_big", counters_.instr_big);
-    w.f64("board.instr_little", counters_.instr_little);
-    w.boolean("board.drift_active", drift_active_);
-    w.f64("board.drift_scale", drift_scale_);
-}
-
-void
-Board::load(obs::StateReader& r)
-{
-    thermal_.load(r);
-    sensors_.load(r);
-    tmu_.load(r);
-    workload_.load(r);
-
-    requested_.big_cores = r.u64("board.req.big_cores");
-    requested_.little_cores = r.u64("board.req.little_cores");
-    requested_.freq_big = r.f64("board.req.freq_big");
-    requested_.freq_little = r.f64("board.req.freq_little");
-    applied_.big_cores = r.u64("board.app.big_cores");
-    applied_.little_cores = r.u64("board.app.little_cores");
-    applied_.freq_big = r.f64("board.app.freq_big");
-    applied_.freq_little = r.f64("board.app.freq_little");
-
-    policy_.threads_big = r.f64("board.policy.threads_big");
-    policy_.tpc_big = r.f64("board.policy.tpc_big");
-    policy_.tpc_little = r.f64("board.policy.tpc_little");
-
-    placement_.big_core_threads = fromU64(r.u64vec("board.place.big"));
-    placement_.little_core_threads =
-        fromU64(r.u64vec("board.place.little"));
-    const auto clusters = r.u64vec("board.place.cluster");
-    placement_.thread_cluster.clear();
-    placement_.thread_cluster.reserve(clusters.size());
-    for (const std::uint64_t c : clusters) {
-        placement_.thread_cluster.push_back(c != 0 ? ClusterId::kBig
-                                                   : ClusterId::kLittle);
+    io.u64vec("board.place.cluster", clusters);
+    if constexpr (Io::kLoading) {
+        placement_.thread_cluster.clear();
+        for (const std::uint64_t c : clusters) {
+            placement_.thread_cluster.push_back(
+                c != 0 ? ClusterId::kBig : ClusterId::kLittle);
+        }
     }
-    placement_.thread_core = fromU64(r.u64vec("board.place.core"));
-    placement_version_ = r.u64("board.place.version");
+    io.u64vec("board.place.core", placement_.thread_core);
+    io.u64("board.place.version", placement_version_);
 
-    time_ = r.f64("board.time");
-    energy_ = r.f64("board.energy");
-    true_p_big_ = r.f64("board.true_p_big");
-    true_p_little_ = r.f64("board.true_p_little");
-    migration_stall_left_ = r.f64("board.migration_stall");
-    violation_time_ = r.f64("board.violation_time");
-    rejected_inputs_ = r.u64("board.rejected_inputs");
-    counters_.instr_big = r.f64("board.instr_big");
-    counters_.instr_little = r.f64("board.instr_little");
-    drift_active_ = r.boolean("board.drift_active");
-    drift_scale_ = r.f64("board.drift_scale");
-    rebuildStepTable();
+    io.f64("board.time", time_);
+    io.f64("board.energy", energy_);
+    io.f64("board.true_p_big", true_p_big_);
+    io.f64("board.true_p_little", true_p_little_);
+    io.f64("board.migration_stall", migration_stall_left_);
+    io.f64("board.violation_time", violation_time_);
+    io.u64("board.rejected_inputs", rejected_inputs_);
+    io.f64("board.instr_big", counters_.instr_big);
+    io.f64("board.instr_little", counters_.instr_little);
+    io.boolean("board.drift_active", drift_active_);
+    io.f64("board.drift_scale", drift_scale_);
+    if constexpr (Io::kLoading) {
+        rebuildStepTable();
+    }
 }
+
+template void Board::state(obs::StateWriter&);
+template void Board::state(obs::StateReader&);
 
 }  // namespace yukta::platform

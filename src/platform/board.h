@@ -215,17 +215,15 @@ class Board
     // ------------------------------------------------------------
 
     /**
-     * Appends the full mutable board state (physics, sensors, TMU,
-     * workload progress, actuation, OS bookkeeping) to @p w. Trace
-     * buffers are not serialized — fleet boards never trace.
+     * Writes or restores the full mutable board state (physics,
+     * sensors, TMU, workload progress, actuation, OS bookkeeping;
+     * obs/stateio.h). A restore needs a board constructed from the
+     * same config, workload, and seed, and rebuilds the derived step
+     * table. Trace buffers are not serialized — fleet boards never
+     * trace.
      */
-    void save(obs::StateWriter& w) const;
-
-    /**
-     * Restores state written by save into a board constructed from
-     * the same config, workload, and seed.
-     */
-    void load(obs::StateReader& r);
+    template <class Io>
+    void state(Io& io);
 
   private:
     obs::TraceSink* event_trace_ = nullptr;
@@ -260,7 +258,7 @@ class Board
      * The step table: everything stepOnce needs that depends only on
      * the placement, the applied inputs (TMU caps included) and the
      * runnable set. Derived state, rebuilt by rebuildStepTable from
-     * refreshPlacement's rebuilding branch and from load().
+     * refreshPlacement's rebuilding branch and from a state() restore.
      */
     struct StepThread
     {

@@ -102,18 +102,12 @@ class ThermalModel
     /** @return the steady-state hotspot for constant power (C). */
     double steadyState(double weighted_power) const;
 
-    /** Appends both node temperatures to @p w. */
-    void save(obs::StateWriter& w) const
+    /** Writes or restores both node temperatures (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io)
     {
-        w.f64("thermal.t_silicon", t_silicon_);
-        w.f64("thermal.t_heatsink", t_heatsink_);
-    }
-
-    /** Restores state written by save. */
-    void load(obs::StateReader& r)
-    {
-        t_silicon_ = r.f64("thermal.t_silicon");
-        t_heatsink_ = r.f64("thermal.t_heatsink");
+        io.f64("thermal.t_silicon", t_silicon_);
+        io.f64("thermal.t_heatsink", t_heatsink_);
     }
 
   private:

@@ -50,36 +50,24 @@ Sensors::step(double dt, double true_p_big, double true_p_little,
     }
 }
 
+template <class Io>
 void
-Sensors::save(obs::StateWriter& w) const
+Sensors::state(Io& io)
 {
-    w.engine("sensors.rng", rng_);
-    w.distribution("sensors.gauss", gauss_);
-    w.f64("sensors.p_big", p_big_);
-    w.f64("sensors.p_little", p_little_);
-    w.f64("sensors.temp", temp_);
-    w.f64("sensors.win_time", win_time_);
-    w.f64("sensors.win_big", win_big_);
-    w.f64("sensors.win_little", win_little_);
-    w.f64("sensors.temp_timer", temp_timer_);
-    w.u64("sensors.clamped_power", clamped_power_);
-    w.u64("sensors.clamped_temp", clamped_temp_);
+    io.engine("sensors.rng", rng_);
+    io.distribution("sensors.gauss", gauss_);
+    io.f64("sensors.p_big", p_big_);
+    io.f64("sensors.p_little", p_little_);
+    io.f64("sensors.temp", temp_);
+    io.f64("sensors.win_time", win_time_);
+    io.f64("sensors.win_big", win_big_);
+    io.f64("sensors.win_little", win_little_);
+    io.f64("sensors.temp_timer", temp_timer_);
+    io.u64("sensors.clamped_power", clamped_power_);
+    io.u64("sensors.clamped_temp", clamped_temp_);
 }
 
-void
-Sensors::load(obs::StateReader& r)
-{
-    r.engine("sensors.rng", rng_);
-    r.distribution("sensors.gauss", gauss_);
-    p_big_ = r.f64("sensors.p_big");
-    p_little_ = r.f64("sensors.p_little");
-    temp_ = r.f64("sensors.temp");
-    win_time_ = r.f64("sensors.win_time");
-    win_big_ = r.f64("sensors.win_big");
-    win_little_ = r.f64("sensors.win_little");
-    temp_timer_ = r.f64("sensors.temp_timer");
-    clamped_power_ = r.u64("sensors.clamped_power");
-    clamped_temp_ = r.u64("sensors.clamped_temp");
-}
+template void Sensors::state(obs::StateWriter&);
+template void Sensors::state(obs::StateReader&);
 
 }  // namespace yukta::platform

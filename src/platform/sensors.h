@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <string>
 
 #include "obs/mt19937.h"
 #include "obs/stateio.h"
@@ -45,6 +46,17 @@ struct SensorReadings
     double temp = 25.0;        ///< Latest temperature sample (C).
     double instr_big = 0.0;    ///< Cumulative giga-instr, big.
     double instr_little = 0.0; ///< Cumulative giga-instr, little.
+
+    /** Writes or restores the fields as "<prefix>.<field>". */
+    template <class Io>
+    void state(Io& io, const std::string& prefix)
+    {
+        io.f64(prefix + ".p_big", p_big);
+        io.f64(prefix + ".p_little", p_little);
+        io.f64(prefix + ".temp", temp);
+        io.f64(prefix + ".instr_big", instr_big);
+        io.f64(prefix + ".instr_little", instr_little);
+    }
 };
 
 /** Finite-check customization point (core/contracts.h, via ADL). */
@@ -88,11 +100,9 @@ class Sensors
     /** @return samples clamped for temperature below ambient. */
     std::size_t clampedTempCount() const { return clamped_temp_; }
 
-    /** Appends all mutable sensor state (incl. the RNG) to @p w. */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save. */
-    void load(obs::StateReader& r);
+    /** Writes or restores all mutable sensor state, incl. the RNG. */
+    template <class Io>
+    void state(Io& io);
 
   private:
     SensorConfig cfg_;

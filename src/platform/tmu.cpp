@@ -102,36 +102,24 @@ Tmu::step(double dt, double temp, double p_big, double p_little, double f_big,
     return caps_;
 }
 
+template <class Io>
 void
-Tmu::save(obs::StateWriter& w) const
+Tmu::state(Io& io)
 {
-    w.f64("tmu.freq_cap_big", caps_.freq_cap_big);
-    w.f64("tmu.freq_cap_little", caps_.freq_cap_little);
-    w.u64("tmu.max_big_cores", caps_.max_big_cores);
-    w.boolean("tmu.active", caps_.active);
-    w.f64("tmu.over_big", over_big_);
-    w.f64("tmu.over_little", over_little_);
-    w.f64("tmu.action_timer", action_timer_);
-    w.f64("tmu.cooldown_left", cooldown_left_);
-    w.f64("tmu.release_timer", release_timer_);
-    w.f64("tmu.emergency_time", emergency_time_);
-    w.u64("tmu.actions", actions_);
+    io.f64("tmu.freq_cap_big", caps_.freq_cap_big);
+    io.f64("tmu.freq_cap_little", caps_.freq_cap_little);
+    io.u64("tmu.max_big_cores", caps_.max_big_cores);
+    io.boolean("tmu.active", caps_.active);
+    io.f64("tmu.over_big", over_big_);
+    io.f64("tmu.over_little", over_little_);
+    io.f64("tmu.action_timer", action_timer_);
+    io.f64("tmu.cooldown_left", cooldown_left_);
+    io.f64("tmu.release_timer", release_timer_);
+    io.f64("tmu.emergency_time", emergency_time_);
+    io.u64("tmu.actions", actions_);
 }
 
-void
-Tmu::load(obs::StateReader& r)
-{
-    caps_.freq_cap_big = r.f64("tmu.freq_cap_big");
-    caps_.freq_cap_little = r.f64("tmu.freq_cap_little");
-    caps_.max_big_cores = r.u64("tmu.max_big_cores");
-    caps_.active = r.boolean("tmu.active");
-    over_big_ = r.f64("tmu.over_big");
-    over_little_ = r.f64("tmu.over_little");
-    action_timer_ = r.f64("tmu.action_timer");
-    cooldown_left_ = r.f64("tmu.cooldown_left");
-    release_timer_ = r.f64("tmu.release_timer");
-    emergency_time_ = r.f64("tmu.emergency_time");
-    actions_ = r.u64("tmu.actions");
-}
+template void Tmu::state(obs::StateWriter&);
+template void Tmu::state(obs::StateReader&);
 
 }  // namespace yukta::platform

@@ -57,11 +57,9 @@ class Tmu
     /** @return number of emergency actions taken. */
     std::size_t actionCount() const { return actions_; }
 
-    /** Appends all mutable TMU state to @p w. */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save. */
-    void load(obs::StateReader& r);
+    /** Writes or restores all mutable TMU state (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io);
 
   private:
     TmuConfig cfg_;

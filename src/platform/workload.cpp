@@ -186,46 +186,30 @@ Workload::name() const
     return out;
 }
 
+template <class Io>
 void
-Workload::save(obs::StateWriter& w) const
+Workload::state(Io& io)
 {
-    w.u64("workload.instances", instances_.size());
-    for (std::size_t i = 0; i < instances_.size(); ++i) {
-        const Instance& inst = instances_[i];
-        const std::string p = "workload.i" + std::to_string(i);
-        w.u64(p + ".phase", inst.phase);
-        w.boolean(p + ".finished", inst.finished);
-        w.u64(p + ".threads", inst.threads.size());
-        for (std::size_t t = 0; t < inst.threads.size(); ++t) {
-            const std::string tp = p + ".t" + std::to_string(t);
-            w.f64(tp + ".remaining", inst.threads[t].remaining);
-            w.boolean(tp + ".at_barrier", inst.threads[t].at_barrier);
-        }
-    }
-    w.u64("workload.version", version_);
-}
-
-void
-Workload::load(obs::StateReader& r)
-{
-    if (r.u64("workload.instances") != instances_.size()) {
-        throw std::runtime_error(
-            "Workload::load: instance count mismatch");
-    }
+    io.expect("workload.instances", instances_.size());
     for (std::size_t i = 0; i < instances_.size(); ++i) {
         Instance& inst = instances_[i];
         const std::string p = "workload.i" + std::to_string(i);
-        inst.phase = r.u64(p + ".phase");
-        inst.finished = r.boolean(p + ".finished");
-        inst.threads.resize(r.u64(p + ".threads"));
+        io.u64(p + ".phase", inst.phase);
+        io.boolean(p + ".finished", inst.finished);
+        io.count(p + ".threads", inst.threads);
         for (std::size_t t = 0; t < inst.threads.size(); ++t) {
             const std::string tp = p + ".t" + std::to_string(t);
-            inst.threads[t].remaining = r.f64(tp + ".remaining");
-            inst.threads[t].at_barrier = r.boolean(tp + ".at_barrier");
+            io.f64(tp + ".remaining", inst.threads[t].remaining);
+            io.boolean(tp + ".at_barrier", inst.threads[t].at_barrier);
         }
     }
-    version_ = r.u64("workload.version");
-    rebuildRunnable();
+    io.u64("workload.version", version_);
+    if constexpr (Io::kLoading) {
+        rebuildRunnable();
+    }
 }
+
+template void Workload::state(obs::StateWriter&);
+template void Workload::state(obs::StateReader&);
 
 }  // namespace yukta::platform

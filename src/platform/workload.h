@@ -107,19 +107,15 @@ class Workload
     std::string name() const;
 
     /**
-     * Appends the mutable execution state (phase indices, per-thread
-     * progress, placement version) to @p w. The static app models are
-     * not serialized: load() requires a Workload built from the same
-     * apps.
+     * Writes or restores the mutable execution state (phase indices,
+     * per-thread progress, placement version; obs/stateio.h). The
+     * static app models are not serialized: a restore needs a
+     * Workload built from the same apps.
+     * @throws std::runtime_error when restoring a different instance
+     * count.
      */
-    void save(obs::StateWriter& w) const;
-
-    /**
-     * Restores state written by save into a Workload constructed from
-     * the same application models.
-     * @throws std::runtime_error when the instance count differs.
-     */
-    void load(obs::StateReader& r);
+    template <class Io>
+    void state(Io& io);
 
   private:
     struct ThreadState

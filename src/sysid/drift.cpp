@@ -58,24 +58,23 @@ CusumDriftDetector::rearm()
     fired_ = false;
 }
 
+template <class Io>
 void
-CusumDriftDetector::save(obs::StateWriter& w) const
+CusumDriftDetector::state(Io& io)
 {
-    w.u64("cusum.samples", samples_);
-    w.boolean("cusum.fired", fired_);
-    w.f64vec("cusum.g", g_);
-}
-
-void
-CusumDriftDetector::load(obs::StateReader& r)
-{
-    samples_ = r.u64("cusum.samples");
-    fired_ = r.boolean("cusum.fired");
-    g_ = r.f64vec("cusum.g");
-    if (g_.size() != sigma_.size()) {
-        throw std::runtime_error("CusumDriftDetector: state size mismatch");
+    io.u64("cusum.samples", samples_);
+    io.boolean("cusum.fired", fired_);
+    io.f64vec("cusum.g", g_);
+    if constexpr (Io::kLoading) {
+        if (g_.size() != sigma_.size()) {
+            throw std::runtime_error(
+                "CusumDriftDetector: state size mismatch");
+        }
     }
 }
+
+template void CusumDriftDetector::state(obs::StateWriter&);
+template void CusumDriftDetector::state(obs::StateReader&);
 
 std::vector<double>
 residualSigma(const ArxModel& model, const IoData& data)

@@ -71,11 +71,9 @@ class CusumDriftDetector
     /** Clears the statistics and the fired latch (post-swap re-arm). */
     void rearm();
 
-    /** Serializes the detector state (bit-exact). */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save(). */
-    void load(obs::StateReader& r);
+    /** Writes or restores the detector state (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io);
 
   private:
     std::vector<double> sigma_;

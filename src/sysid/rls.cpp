@@ -1,7 +1,10 @@
 #include "sysid/rls.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace yukta::sysid {
 
@@ -10,29 +13,23 @@ using linalg::Vector;
 
 namespace {
 
-std::vector<double>
-flatten(const Matrix& m)
+/**
+ * Writes or restores @p m, whose shape the estimator's structure
+ * fixes, as one f64vec of its elements.
+ */
+template <class Io>
+void
+matrixState(Io& io, std::string_view key, Matrix& m)
 {
-    return std::vector<double>(m.data(), m.data() + m.rows() * m.cols());
-}
-
-Matrix
-unflatten(const std::vector<double>& v, std::size_t rows, std::size_t cols)
-{
-    if (v.size() != rows * cols) {
-        throw std::runtime_error("RlsEstimator: matrix size mismatch");
+    std::vector<double> flat(m.data(), m.data() + m.rows() * m.cols());
+    io.f64vec(key, flat);
+    if constexpr (Io::kLoading) {
+        if (flat.size() != m.rows() * m.cols()) {
+            throw std::runtime_error("RlsEstimator: " + std::string(key) +
+                                     " size mismatch");
+        }
+        std::copy(flat.begin(), flat.end(), m.data());
     }
-    Matrix m(rows, cols);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        m.data()[i] = v[i];
-    }
-    return m;
-}
-
-std::vector<double>
-flatten(const Vector& v)
-{
-    return v.raw();
 }
 
 }  // namespace
@@ -225,38 +222,24 @@ RlsEstimator::predictWith(const ArxModel& m, const Vector& u_now) const
     return m.predict(yh, uh);
 }
 
+template <class Io>
 void
-RlsEstimator::save(obs::StateWriter& w) const
+RlsEstimator::state(Io& io)
 {
-    w.u64("rls.updates", updates_);
-    w.f64vec("rls.theta", flatten(theta_));
-    w.f64vec("rls.p", flatten(p_));
-    w.u64("rls.ny_hist", y_hist_.size());
-    for (const Vector& v : y_hist_) {
-        w.f64vec("rls.yh", flatten(v));
+    io.u64("rls.updates", updates_);
+    matrixState(io, "rls.theta", theta_);
+    matrixState(io, "rls.p", p_);
+    io.count("rls.ny_hist", y_hist_);
+    for (Vector& v : y_hist_) {
+        io.f64vec("rls.yh", v.raw());
     }
-    w.u64("rls.nu_hist", u_hist_.size());
-    for (const Vector& v : u_hist_) {
-        w.f64vec("rls.uh", flatten(v));
+    io.count("rls.nu_hist", u_hist_);
+    for (Vector& v : u_hist_) {
+        io.f64vec("rls.uh", v.raw());
     }
 }
 
-void
-RlsEstimator::load(obs::StateReader& r)
-{
-    updates_ = r.u64("rls.updates");
-    theta_ = unflatten(r.f64vec("rls.theta"), numCols(), ny_);
-    p_ = unflatten(r.f64vec("rls.p"), numCols(), numCols());
-    y_hist_.clear();
-    std::size_t n = r.u64("rls.ny_hist");
-    for (std::size_t i = 0; i < n; ++i) {
-        y_hist_.push_back(Vector(r.f64vec("rls.yh")));
-    }
-    u_hist_.clear();
-    n = r.u64("rls.nu_hist");
-    for (std::size_t i = 0; i < n; ++i) {
-        u_hist_.push_back(Vector(r.f64vec("rls.uh")));
-    }
-}
+template void RlsEstimator::state(obs::StateWriter&);
+template void RlsEstimator::state(obs::StateReader&);
 
 }  // namespace yukta::sysid

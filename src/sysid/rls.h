@@ -103,11 +103,9 @@ class RlsEstimator
     linalg::Vector predictWith(const ArxModel& m,
                                const linalg::Vector& u_now) const;
 
-    /** Serializes the full estimator state (bit-exact). */
-    void save(obs::StateWriter& w) const;
-
-    /** Restores state written by save(). */
-    void load(obs::StateReader& r);
+    /** Writes or restores the full estimator state (obs/stateio.h). */
+    template <class Io>
+    void state(Io& io);
 
   private:
     std::size_t na_ = 0;

@@ -199,10 +199,10 @@ TEST(OnlineAdapterTest, SaveLoadRoundTripIsBitExactMidPhase)
     drive(a, plant_a, 5, 5);
 
     obs::StateWriter w1;
-    a.save(w1);
+    a.state(w1);
     OnlineAdapter b(sisoSpec(), 0, shipped, data, fastOptions());
     obs::StateReader r(w1.take());
-    b.load(r);
+    b.state(r);
 
     // Continue both in lockstep on identical samples: every
     // subsequent dump must match byte for byte.
@@ -213,8 +213,8 @@ TEST(OnlineAdapterTest, SaveLoadRoundTripIsBitExactMidPhase)
     EXPECT_EQ(a.driftEvents(), b.driftEvents());
     obs::StateWriter wa;
     obs::StateWriter wb;
-    a.save(wa);
-    b.save(wb);
+    a.state(wa);
+    b.state(wb);
     EXPECT_EQ(wa.take(), wb.take());
 }
 

@@ -393,45 +393,75 @@ TEST(FleetFaults, CheckpointBytesArePinned)
     std::filesystem::remove_all(dir);
 }
 
-// A snapshot of another format version is refused by name even when
-// its stamp verifies: there is no reader for older versions.
-TEST(FleetFaults, OtherCheckpointVersionIsRefusedLoudly)
+// A checkpoint with one field edited and its stamp recomputed -- so
+// only the reader stands between the edit and the fleet -- is refused,
+// and the error names the field. Another format version is refused by
+// name: there is no reader for older versions. The other edits do not
+// fit the member they restore (an int, an enum, a count that would
+// allocate past the body) and were once truncated or accepted.
+TEST(FleetFaults, RestampedFieldEditsAreRefusedByKey)
 {
     const auto artifacts = yukta::fleet::fleetArtifacts();
-    const FleetConfig cfg = smallConfig(13, "");
-    const std::string dir = checkpointDir("version");
-    const std::string path = dir + "/fleet.ckpt";
-    FleetSim sim(cfg, artifacts);
-    sim.saveCheckpoint(path);
-
+    FleetConfig cfg = smallConfig(13, "");
+    cfg.supervised = true;
+    const std::string dir = checkpointDir("restamped");
+    {
+        FleetSim sim(cfg, artifacts);
+        CheckpointConfig ckpt;
+        ckpt.every_epochs = 6;
+        ckpt.dir = dir;
+        (void)sim.run(1, ckpt);
+    }
     std::string text;
     {
-        std::ifstream in(path, std::ios::binary);
+        std::ifstream in(dir + "/fleet-6.ckpt", std::ios::binary);
         text.assign(std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>());
     }
-    const std::string v3 = "ckpt.version=3\n";
-    ASSERT_EQ(text.rfind(v3, 0), 0u);
     const std::size_t stamp_at = text.rfind("ckpt.digest=");
     ASSERT_NE(stamp_at, std::string::npos);
-    const std::string body =
-        "ckpt.version=2\n" +
-        text.substr(v3.size(), stamp_at - v3.size());
-    char stamp[17];
-    std::snprintf(stamp, sizeof stamp, "%016llx",
-                  static_cast<unsigned long long>(yukta::obs::fnv1a(body)));
+    text.resize(stamp_at);
+
+    const struct
     {
-        std::ofstream out(path + ".v2", std::ios::binary);
-        out << body << "ckpt.digest=" << stamp << "\n";
-    }
-    try {
-        sim.restoreCheckpoint(path + ".v2");
-        ADD_FAILURE() << "a version-2 checkpoint was accepted";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "unsupported checkpoint version 2 (expected 3)"),
-                  std::string::npos)
-            << e.what();
+        const char* key;
+        const char* value;
+        const char* error;
+    } edits[] = {
+        {"ckpt.version", "2", "unsupported checkpoint version 2 (expected 3)"},
+        {"ckpt.epoch", "4294967302", "reading 'ckpt.epoch'"},
+        {"ml.periods", "4294967302", "reading 'ml.periods'"},
+        {"sup.mode", "9", "reading 'sup.mode'"},
+        {"sup.events", "4294967302", "reading 'sup.events'"},
+    };
+    const std::string path = dir + "/edited.ckpt";
+    for (const auto& edit : edits) {
+        // Replace the value on the key's first line.
+        const std::string key = std::string(edit.key) + "=";
+        const std::size_t at = ("\n" + text).find("\n" + key);
+        ASSERT_NE(at, std::string::npos) << edit.key;
+        const std::size_t from = at + key.size();
+        std::string body = text;
+        body.replace(from, body.find('\n', from) - from, edit.value);
+        char stamp[17];
+        std::snprintf(
+            stamp, sizeof stamp, "%016llx",
+            static_cast<unsigned long long>(yukta::obs::fnv1a(body)));
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << body << "ckpt.digest=" << stamp << "\n";
+        }
+        // A refused restore leaves its FleetSim partly restored.
+        FleetSim sim(cfg, artifacts);
+        try {
+            sim.restoreCheckpoint(path);
+            ADD_FAILURE() << edit.key << "=" << edit.value
+                          << " was accepted";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(edit.error),
+                      std::string::npos)
+                << e.what();
+        }
     }
     std::filesystem::remove_all(dir);
 }

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "controllers/batch_runtime.h"
@@ -273,9 +276,68 @@ TEST(Fleet, SplitPeriodIsBitIdenticalToStepPeriod)
     ASSERT_GT(whole.metrics().faults.dropped_ticks, 0u);
     yukta::obs::StateWriter a;
     yukta::obs::StateWriter b;
-    whole.save(a);
-    split.save(b);
+    whole.state(a);
+    split.state(b);
     EXPECT_EQ(a.take(), b.take());
+}
+
+// A board checkpointed inside a sensor-freeze latch window, restored
+// into a fresh identical board, continues bit for bit: the injector's
+// RNG, jitter distribution, latch flags and latched readings all
+// round-trip, not only the plant and controllers around them.
+TEST(Fleet, FaultInjectorStateSurvivesRestore)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    const yukta::platform::AppModel app =
+        yukta::platform::AppCatalog::makeServiceApp(8, 1.5, 0.25);
+    const auto makeBoard = [&] {
+        yukta::controllers::MultilayerSystem sys = yukta::core::makeSystem(
+            yukta::core::Scheme::kYuktaFull, artifacts,
+            yukta::platform::Workload(app), 7);
+        sys.enableSupervisor();
+        sys.attachFaultInjector(yukta::fault::FaultPlan::parse(
+            "p_big:freeze@3+10;temp:spike@4+6;tick:miss@5+3"));
+        return sys;
+    };
+    yukta::controllers::MultilayerSystem live = makeBoard();
+    for (int p = 0; p < 14; ++p) {
+        live.stepPeriod();
+    }
+    yukta::obs::StateWriter mid;
+    live.state(mid);
+    const std::string body = mid.take();
+    // Inside the freeze and spike windows, past the missed ticks.
+    ASSERT_NE(body.find("\ninj.latched=3:1,1,0\n"), std::string::npos);
+
+    yukta::controllers::MultilayerSystem restored = makeBoard();
+    yukta::obs::StateReader r(body);
+    restored.state(r);
+    ASSERT_TRUE(r.atEnd());
+    for (int p = 0; p < 20; ++p) {
+        live.stepPeriod();
+        restored.stepPeriod();
+    }
+    ASSERT_GT(live.metrics().faults.corrupted_fields, 0u);
+    yukta::obs::StateWriter a;
+    yukta::obs::StateWriter b;
+    live.state(a);
+    restored.state(b);
+    EXPECT_EQ(a.take(), b.take());
+
+    // Latch state for fewer windows than the plan has is refused, not
+    // indexed past its end.
+    for (const auto& [from, to] :
+         {std::pair<std::string, std::string>{"\ninj.latched=3:1,1,0\n",
+                                              "\ninj.latched=2:1,1\n"},
+          {"\ninj.latch.n=3\n", "\ninj.latch.n=2\n"}}) {
+        std::string edited = body;
+        const std::size_t at = edited.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        edited.replace(at, from.size(), to);
+        yukta::controllers::MultilayerSystem fresh = makeBoard();
+        yukta::obs::StateReader er(edited);
+        EXPECT_THROW(fresh.state(er), std::runtime_error) << to;
+    }
 }
 
 TEST(Fleet, AdmissionStrictlyReducesSloViolationUnderOverload)

@@ -161,12 +161,12 @@ TEST(MergeableHistogram, SaveLoadKeepsConfiguredBoundsAndRefusesOthers)
     h.observe(3.0);
     h.observe(5000.0);
     StateWriter w;
-    h.save(w);
+    h.state(w);
     const std::string body = w.take();
 
     MergeableHistogram same = MergeableHistogram::logSpaced(0.01, 1000.0, 9);
     StateReader ok(body);
-    same.load(ok);
+    same.state(ok);
     EXPECT_TRUE(ok.atEnd());
     EXPECT_EQ(same.bounds(), h.bounds());
     EXPECT_EQ(same.bucketCounts(), h.bucketCounts());
@@ -181,7 +181,7 @@ TEST(MergeableHistogram, SaveLoadKeepsConfiguredBoundsAndRefusesOthers)
          {MergeableHistogram::logSpaced(0.01, 1000.0, 8),
           MergeableHistogram(moved), MergeableHistogram()}) {
         StateReader r(body);
-        EXPECT_THROW(other.load(r), std::runtime_error);
+        EXPECT_THROW(other.state(r), std::runtime_error);
     }
 }
 

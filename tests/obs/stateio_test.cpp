@@ -211,5 +211,102 @@ TEST(StateReader, StringsRoundTripThroughPercentEncoding)
     EXPECT_TRUE(r.atEnd());
 }
 
+/** A checkpointed enum; lastEnumerator bounds what a restore accepts. */
+enum class Rung
+{
+    kLow,
+    kHigh,
+};
+
+constexpr Rung lastEnumerator(Rung)
+{
+    return Rung::kHigh;
+}
+
+/** @return the message a one-field read of @p body throws, or "". */
+template <typename Read>
+std::string
+refusal(const std::string& body, Read read)
+{
+    StateReader r(body);
+    try {
+        read(r);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+// The reference forms store a field into a member of its own type and
+// refuse what does not fit it; count() refuses a count the body
+// cannot hold before it allocates; expect() refuses any value but the
+// reader's own. Every refusal names the key.
+TEST(StateReader, ReferenceFormsRefuseWhatDoesNotFitTheMember)
+{
+    StateWriter w;
+    int small = -7;
+    Rung rung = Rung::kHigh;
+    std::vector<int> items(3);
+    w.i64("small", small);
+    w.u64("rung", rung);
+    w.count("items", items);
+    w.expect("flag", true);
+    w.expect("size", std::uint64_t{46});
+    StateReader r(w.take());
+    small = 0;
+    rung = Rung::kLow;
+    items.clear();
+    r.i64("small", small);
+    r.u64("rung", rung);
+    r.count("items", items);
+    r.expect("flag", true);
+    r.expect("size", std::uint64_t{46});
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(small, -7);
+    EXPECT_EQ(rung, Rung::kHigh);
+    EXPECT_EQ(items.size(), 3u);
+
+    int i = 0;
+    std::size_t z = 0;
+    EXPECT_NE(refusal("k=2147483648\n",
+                      [&](StateReader& rd) { rd.i64("k", i); })
+                  .find("reading 'k': value 2147483648 does not fit"),
+              std::string::npos);
+    EXPECT_NE(refusal("k=-2147483649\n",
+                      [&](StateReader& rd) { rd.i64("k", i); })
+                  .find("reading 'k'"),
+              std::string::npos);
+    EXPECT_NE(refusal("k=4294967302\n",
+                      [&](StateReader& rd) { rd.u64("k", i); })
+                  .find("reading 'k'"),
+              std::string::npos);
+    EXPECT_EQ(refusal("k=4294967302\n",
+                      [&](StateReader& rd) { rd.u64("k", z); }),
+              "");
+    EXPECT_NE(refusal("k=2\n", [&](StateReader& rd) { rd.u64("k", rung); })
+                  .find("reading 'k': value 2 is past the last enumerator"),
+              std::string::npos);
+    EXPECT_NE(refusal("k=6\nx=1\n",
+                      [&](StateReader& rd) { rd.count("k", items); })
+                  .find("reading 'k': count 6 exceeds the bytes left"),
+              std::string::npos);
+    EXPECT_EQ(refusal("k=4\nx=1\n",
+                      [&](StateReader& rd) { rd.count("k", items); }),
+              "");
+    EXPECT_NE(refusal("k=0\n",
+                      [&](StateReader& rd) {
+                          rd.expect("k", true, "set it back");
+                      })
+                  .find("reading 'k': saved 0 where this instance has 1; "
+                        "set it back"),
+              std::string::npos);
+    EXPECT_NE(refusal("k=45\n",
+                      [&](StateReader& rd) {
+                          rd.expect("k", std::uint64_t{46});
+                      })
+                  .find("reading 'k': saved 45 where this instance has 46"),
+              std::string::npos);
+}
+
 }  // namespace
 }  // namespace yukta::obs

@@ -296,14 +296,14 @@ TEST(Board, CheckpointRoundTripIsBitExact)
                 EXPECT_EQ(live.threadsRunning(), 15u);
             }
             obs::StateWriter w;
-            live.save(w);
+            live.state(w);
             Board restored = makeMixBoard(mix);
             obs::StateReader r(w.take());
-            restored.load(r);
+            restored.state(r);
             ASSERT_TRUE(r.atEnd());
 
             // Step before any apply*: an input change would rebuild
-            // the derived state and hide a load() that did not.
+            // the derived state and hide a restore that did not.
             Board copy = live;
             copy.run(0.25);
             restored.run(0.25);

@@ -37,8 +37,9 @@ bits(double x)
 std::vector<std::size_t>
 scanRunnable(const Workload& w)
 {
+    Workload copy = w;
     obs::StateWriter out;
-    w.save(out);
+    copy.state(out);
     obs::StateReader r(out.take());
     std::vector<std::size_t> owner;
     const std::uint64_t instances = r.u64("workload.instances");
@@ -346,10 +347,10 @@ TEST(Workload, LoadRebuildsRunnableIndex)
     w.retire(0, 1e9);  // blackscholes enters its parallel phase
     w.retire(6, 1e9);  // and an mcf copy completes
     obs::StateWriter out;
-    w.save(out);
+    w.state(out);
     Workload fresh = AppCatalog::getMix("blmc");
     obs::StateReader r(out.take());
-    fresh.load(r);
+    fresh.state(r);
     EXPECT_EQ(fresh.numRunnableThreads(), w.numRunnableThreads());
     expectIndexMatchesScan(fresh);
 }

@@ -205,10 +205,10 @@ TEST(Rls, SaveLoadRoundTripIsBitExact)
         a.update(data.u[t], data.y[t]);
     }
     obs::StateWriter w;
-    a.save(w);
+    a.state(w);
     RlsEstimator b(zeroSeed(), Vector{1.0}, Vector{1.0}, opt);
     obs::StateReader r(w.take());
-    b.load(r);
+    b.state(r);
 
     // Continue both in lockstep; trajectories must stay identical.
     for (std::size_t t = 300; t < data.u.size(); ++t) {
@@ -318,10 +318,10 @@ TEST(Cusum, SaveLoadRoundTripIsBitExact)
         a.update(Vector{dist(rng), dist(rng)});
     }
     obs::StateWriter w;
-    a.save(w);
+    a.state(w);
     CusumDriftDetector b({1.0, 2.0}, opt);
     obs::StateReader r(w.take());
-    b.load(r);
+    b.state(r);
     EXPECT_EQ(a.maxStat(), b.maxStat());
     EXPECT_EQ(a.samples(), b.samples());
     EXPECT_EQ(a.fired(), b.fired());

@@ -18,6 +18,19 @@ struct SensorReadings {
 };
 }  // namespace yukta::platform
 
+namespace yukta::obs {
+class StateWriter;
+class StateReader;
+}  // namespace yukta::obs
+
+// state-pair: a checkpoint field list written twice, once per
+// direction, drifts apart silently.
+struct Mirrored {
+    double x = 0.0;
+    void save(yukta::obs::StateWriter& w) const;  // state-pair
+    void load(yukta::obs::StateReader& r);        // state-pair
+};
+
 int main()
 {
     // sensor-construction: only the platform/fault layers may forge

@@ -13,6 +13,19 @@ struct SensorReadings {
 };
 }  // namespace yukta::platform
 
+namespace yukta::obs {
+class StateWriter;
+}  // namespace yukta::obs
+
+// One field list serves both checkpoint directions; a helper with
+// another name (an immutable type's writer) is not a mirrored pair.
+struct Checkpointed {
+    double x = 0.0;
+    template <class Io>
+    void state(Io& io);
+};
+void saveModel(yukta::obs::StateWriter& w, const Checkpointed& c);
+
 // A member named `time` is not a wall-clock read; the rule matches
 // the clock types and the C call shapes only.
 struct Event {

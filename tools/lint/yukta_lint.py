@@ -47,6 +47,11 @@ cannot express:
                         deadline machinery.
   doc-comment           public functions declared in src headers carry
                         a doc comment.
+  state-pair            no save(...StateWriter&) / load(...StateReader&)
+                        member in src/: a checkpointed type lists its
+                        fields once, in `template <class Io> void
+                        state(Io&)`, which both classes instantiate;
+                        a mirrored pair drifts apart silently.
 
 Suppressions:
   // yukta-lint: allow(<rule>)        on the offending line
@@ -82,6 +87,7 @@ RULES = (
     "freq-loop",
     "wall-clock",
     "doc-comment",
+    "state-pair",
 )
 
 DEFAULT_PATHS = ("src", "bench", "tests", "examples", "tools")
@@ -269,6 +275,23 @@ WALL_CLOCK_EXEMPT_PREFIXES = (
 )
 
 
+# A hand-mirrored checkpoint pair: a save taking a StateWriter or a
+# load taking a StateReader. Line-local, like the other pattern rules.
+# Helpers named otherwise (saveArx, for an immutable type built
+# through its constructor) are not matched.
+STATE_PAIR_RE = re.compile(
+    r"\b(?:save\s*\([^)]*\bStateWriter\s*&"
+    r"|load\s*\([^)]*\bStateReader\s*&)")
+
+# Benches, tests and examples may drive StateWriter/StateReader
+# however they like; the one-field-list rule binds the product.
+STATE_PAIR_EXEMPT_PREFIXES = (
+    "bench" + os.sep,
+    "tests" + os.sep,
+    "examples" + os.sep,
+)
+
+
 def check_patterns(ctx, findings):
     for idx, line in enumerate(ctx.code_lines, start=1):
         if RAND_RE.search(line) and not ctx.allowed("banned-rand", idx):
@@ -312,6 +335,14 @@ def check_patterns(ctx, findings):
                 "SensorReadings constructed outside the platform/fault "
                 "layers; consume board.readings() or the supervisor's "
                 "validated snapshot instead of forging telemetry"))
+        if STATE_PAIR_RE.search(line) and \
+                not ctx.rel.startswith(STATE_PAIR_EXEMPT_PREFIXES) and \
+                not ctx.allowed("state-pair", idx):
+            findings.append(Finding(
+                ctx.rel, idx, "state-pair",
+                "mirrored save(StateWriter&)/load(StateReader&) pair; "
+                "list the fields once in template <class Io> void "
+                "state(Io& io) (obs/stateio.h)"))
         if WALL_CLOCK_RE.search(line) and \
                 not ctx.rel.startswith(WALL_CLOCK_EXEMPT_PREFIXES) and \
                 not ctx.allowed("wall-clock", idx):
@@ -640,7 +671,7 @@ def self_test(root, compiler):
     got = {f.rule for f in bad}
     want = {"banned-rand", "float-eq", "cache-bypass", "atomic-write",
             "endl-in-loop", "sensor-construction", "freq-loop",
-            "wall-clock"}
+            "wall-clock", "state-pair"}
     for rule in sorted(want):
         status = "ok" if rule in got else "MISSING"
         print(f"self-test: bad_fixture triggers {rule:<18} {status}")
