@@ -11,7 +11,7 @@
  *  - the hang scenario's watchdog must recover strictly more
  *    board-epochs than the blind run loses,
  *  - the flagship faulted run must be bit-identical for 1 vs N pool
- *    workers (the watchdog must not leak wall-clock into results),
+ *    workers (thread scheduling must not leak into results),
  *  - run-to-T must be bit-identical with run-to-T/2, checkpoint,
  *    restore into a fresh process-equivalent sim, run-to-T.
  *
@@ -112,8 +112,6 @@ makeConfig(const Scenario& s, bool aware, int boards,
     cfg.admission.queue_capacity_gi = 8.0;
     cfg.faults = yukta::fault::FaultPlan::parse(s.faults);
     cfg.fault_aware = aware;
-    cfg.watchdog_timeout_s = 0.05;
-    cfg.watchdog_backoff_s = 0.02;
     return cfg;
 }
 
@@ -231,9 +229,9 @@ main(int argc, char** argv)
         results.push_back(r);
     }
 
-    // Worker-count determinism on the busiest faulted scenario: the
-    // watchdog's wall-clock deadline must steer retries only, never
-    // the simulated outcome.
+    // Worker-count determinism on the busiest faulted scenario: how
+    // the pool schedules the shards must never reach the simulated
+    // outcome.
     std::printf("faulted worker determinism (1 vs %zu workers):\n",
                 workers);
     FleetMetrics serial;

@@ -119,16 +119,19 @@ if ! cmp "$CKPT_DIR/fleet-12.ckpt" "$RESUMED_CKPT_DIR/fleet-12.ckpt"; then
 fi
 echo "crash-resume digests and fleet-12.ckpt match: $FULL_DIGEST"
 
-echo "=== fleet CLI: bad flag values exit 2, never abort ==="
+echo "=== CLIs: bad flag values exit 2, never abort ==="
 # A non-numeric flag is rejected while parsing; a value FleetSim
-# refuses is reported once the artifacts exist. Both exit 2.
-for BAD in --boards=abc --sim-seconds=-1; do
+# refuses is reported once the artifacts exist. Both exit 2, and
+# yukta-sweep parses its numeric flags with the same strict parser.
+for BAD in "yukta-fleet --boards=abc" "yukta-fleet --sim-seconds=-1" \
+           "yukta-sweep --max-seconds=abc" "yukta-sweep --seeds=x"; do
+    read -r CLI FLAG <<<"$BAD"
     set +e
-    ./build/examples/yukta-fleet "$BAD" --quiet 2>/dev/null
+    "./build/examples/$CLI" "$FLAG" --quiet 2>/dev/null
     STATUS=$?
     set -e
     if [[ "$STATUS" -ne 2 ]]; then
-        echo "yukta-fleet $BAD exited $STATUS, want 2"
+        echo "$BAD exited $STATUS, want 2"
         exit 1
     fi
 done
@@ -210,12 +213,13 @@ if echo 'int main() { return 0; }' \
               --output-on-failure
     # The fleet's shared-nothing shard phase is the other place real
     # threads touch shared state; the 1-vs-N digest tests drive it
-    # with 1, 2, and 4 workers, healthy and faulted (crash, hang, and
-    # the watchdog's retried shard attempts). The cold re-synthesis
-    # test runs an online D-K synthesis on 4 threads.
+    # with 1, 2, and 4 workers, healthy and faulted (crash, hang and
+    # degrade windows), and the crash-restore test adds in-place
+    # reboots and checkpoint splits across every scheme. The cold
+    # re-synthesis test runs an online D-K synthesis on 4 threads.
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_fleet \
-        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetFaults.FaultedRunIsBitIdenticalForAnyWorkerCount:FleetAdapt.ColdResynthesisIsBitIdenticalAcrossWorkerCounts'
+        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetFaults.FaultedRunIsBitIdenticalForAnyWorkerCount:FleetFaults.CrashRestoreDigestIdentityAcrossSeedsAndWorkers:FleetAdapt.ColdResynthesisIsBitIdenticalAcrossWorkerCounts'
 else
     rm -f "$TSAN_PROBE"
     echo "=== ThreadSanitizer unavailable on this toolchain; skipping ==="

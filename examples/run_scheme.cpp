@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.h"
 #include "core/yukta.h"
 
 using namespace yukta;
@@ -88,8 +89,12 @@ main(int argc, char** argv)
 {
     std::string scheme_name = argc > 1 ? argv[1] : "yukta";
     std::string app = argc > 2 ? argv[2] : "blackscholes";
-    std::uint32_t seed =
-        argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 1;
+    std::uint32_t seed = 1;
+    if (argc > 3 && !cli::parseNumber(argv[3], &seed)) {
+        std::fprintf(stderr, "seed '%s': want an unsigned 32-bit number\n",
+                     argv[3]);
+        return 2;
+    }
     std::string trace_path = argc > 4 ? argv[4] : "";
 
     core::Scheme scheme = parseScheme(scheme_name);

@@ -18,8 +18,6 @@
  *   yukta-fleet --resume=ckpt/fleet-latest.ckpt
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -30,14 +28,15 @@
 #include <string>
 #include <system_error>
 #include <thread>
-#include <type_traits>
 
+#include "cli_number.h"
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
 #include "fleet/fleet.h"
 #include "runner/sweep.h"
 
 using namespace yukta;
+using cli::parseNumber;
 
 namespace {
 
@@ -86,25 +85,6 @@ usage()
         "  --out=FILE          write the run JSON to FILE\n"
         "  --digest            print only the determinism digest\n"
         "  --quiet             suppress the summary\n");
-}
-
-/**
- * Parses all of @p v as a finite number; false on junk, trailing
- * text, overflow, or a sign an unsigned @p T cannot hold.
- */
-template <typename T>
-bool
-parseNumber(const std::string& v, T* out)
-{
-    const char* end = v.data() + v.size();
-    const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
-    if (ec != std::errc() || ptr != end) {
-        return false;
-    }
-    if constexpr (std::is_floating_point_v<T>) {
-        return std::isfinite(*out);
-    }
-    return true;
 }
 
 bool

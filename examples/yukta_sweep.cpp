@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -23,10 +22,12 @@
 #include <thread>
 #include <vector>
 
+#include "cli_number.h"
 #include "core/yukta.h"
 #include "runner/sweep.h"
 
 using namespace yukta;
+using cli::parseNumber;
 
 namespace {
 
@@ -112,6 +113,12 @@ main(int argc, char** argv)
 
     std::string jsonl_path;
 
+    // Numeric flags take one whole number in range, or exit 2.
+    const auto bad = [](const std::string& arg, const char* want) {
+        std::fprintf(stderr, "%s: want %s\n", arg.c_str(), want);
+        return 2;
+    };
+
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&](const char* prefix) -> const char* {
@@ -143,16 +150,26 @@ main(int argc, char** argv)
         } else if (const char* seeds_arg = value("--seeds=")) {
             spec.seeds.clear();
             for (const std::string& s : splitCsv(seeds_arg)) {
-                spec.seeds.push_back(
-                    static_cast<std::uint32_t>(std::strtoul(s.c_str(),
-                                                            nullptr, 10)));
+                std::uint32_t seed = 0;
+                if (!parseNumber(s, &seed)) {
+                    return bad(arg, "unsigned 32-bit seeds");
+                }
+                spec.seeds.push_back(seed);
             }
         } else if (const char* workers_arg = value("--workers=")) {
-            options.workers = std::strtoul(workers_arg, nullptr, 10);
+            if (!parseNumber(workers_arg, &options.workers)) {
+                return bad(arg, "a worker count");
+            }
         } else if (const char* max_s_arg = value("--max-seconds=")) {
-            spec.max_seconds = std::strtod(max_s_arg, nullptr);
+            if (!parseNumber(max_s_arg, &spec.max_seconds) ||
+                !(spec.max_seconds > 0.0)) {
+                return bad(arg, "a positive number of seconds");
+            }
         } else if (const char* interval_arg = value("--trace-interval=")) {
-            spec.trace_interval = std::strtod(interval_arg, nullptr);
+            if (!parseNumber(interval_arg, &spec.trace_interval) ||
+                spec.trace_interval < 0.0) {
+                return bad(arg, "a non-negative number of seconds");
+            }
         } else if (const char* format_arg = value("--trace-format=")) {
             options.trace_format = format_arg;
         } else if (const char* trace_arg = value("--trace=")) {
@@ -160,16 +177,24 @@ main(int argc, char** argv)
         } else if (arg == "--metrics") {
             options.emit_metrics = true;
         } else if (const char* timeout_arg = value("--timeout=")) {
-            options.run_timeout_seconds = std::strtod(timeout_arg, nullptr);
+            if (!parseNumber(timeout_arg, &options.run_timeout_seconds) ||
+                options.run_timeout_seconds < 0.0) {
+                return bad(arg, "a non-negative number of seconds");
+            }
         } else if (const char* faults_arg = value("--faults=")) {
             spec.fault_plan = faults_arg;
         } else if (arg == "--supervised") {
             spec.supervised = true;
         } else if (const char* attempts_arg = value("--attempts=")) {
-            options.run_attempts =
-                static_cast<int>(std::strtol(attempts_arg, nullptr, 10));
+            if (!parseNumber(attempts_arg, &options.run_attempts) ||
+                options.run_attempts < 1) {
+                return bad(arg, "a positive attempt count");
+            }
         } else if (const char* backoff_arg = value("--retry-backoff=")) {
-            options.retry_backoff_seconds = std::strtod(backoff_arg, nullptr);
+            if (!parseNumber(backoff_arg, &options.retry_backoff_seconds) ||
+                options.retry_backoff_seconds < 0.0) {
+                return bad(arg, "a non-negative number of seconds");
+            }
         } else if (const char* jsonl_arg = value("--jsonl=")) {
             jsonl_path = jsonl_arg;
         } else {

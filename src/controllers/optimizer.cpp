@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/contracts.h"
@@ -182,11 +183,7 @@ ExdOptimizer::state(Io& io)
     io.f64vec("opt.ema_measured", ema_measured_.raw());
     io.boolean("opt.have_anchor", have_anchor_);
     io.i64("opt.direction", direction_);
-    std::vector<long long> dirs(channel_dir_.begin(), channel_dir_.end());
-    io.i64vec("opt.channel_dir", dirs);
-    if constexpr (Io::kLoading) {
-        channel_dir_.assign(dirs.begin(), dirs.end());
-    }
+    io.intvec("opt.channel_dir", channel_dir_);
     io.u64("opt.next_channel", next_channel_);
     io.i64("opt.last_channel", last_channel_);
     io.f64("opt.last_metric", last_metric_);
@@ -196,6 +193,28 @@ ExdOptimizer::state(Io& io)
     io.i64("opt.reversals", reversals_);
     io.i64("opt.recent_reversals", recent_reversals_);
     io.i64("opt.converged_at", converged_at_);
+    if constexpr (Io::kLoading) {
+        // update() and applyMove() index these by channel: refuse what
+        // does not fit this optimizer's n targets before they can.
+        const std::size_t n = cfg_.initial.size();
+        const auto require = [n](bool ok, const char* key) {
+            if (!ok) {
+                throw std::runtime_error(
+                    std::string("ExdOptimizer: restored '") + key +
+                    "' does not fit " + std::to_string(n) + " targets");
+            }
+        };
+        require(targets_.size() == n, "opt.targets");
+        require(ema_measured_.size() == 0 || ema_measured_.size() == n,
+                "opt.ema_measured");
+        require(channel_dir_.size() == n &&
+                    std::all_of(channel_dir_.begin(), channel_dir_.end(),
+                                [](int d) { return d == 1 || d == -1; }),
+                "opt.channel_dir");
+        require(next_channel_ < n, "opt.next_channel");
+        require(last_channel_ >= -1 && std::cmp_less(last_channel_, n),
+                "opt.last_channel");
+    }
 }
 
 template void ExdOptimizer::state(obs::StateWriter&);

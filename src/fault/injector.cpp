@@ -251,14 +251,12 @@ FaultInjector::state(Io& io)
 {
     io.engine("inj.rng", rng_);
     io.distribution("inj.jitter", jitter_);
-    std::vector<std::uint64_t> latched(latched_.begin(), latched_.end());
-    io.u64vec("inj.latched", latched);
+    io.intvec("inj.latched", latched_);
     if constexpr (Io::kLoading) {
-        if (latched.size() != latched_.size()) {
+        if (latched_.size() != plan_.windows.size()) {
             throw std::runtime_error(
                 "FaultInjector: 'inj.latched' does not match the plan");
         }
-        latched_.assign(latched.begin(), latched.end());
     }
     io.expect("inj.latch.n", latch_.size());
     for (std::size_t i = 0; i < latch_.size(); ++i) {

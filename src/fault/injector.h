@@ -13,6 +13,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -93,7 +94,7 @@ class FaultInjector
     FaultPlan plan_;
     obs::Mt19937 rng_;
     std::uniform_real_distribution<double> jitter_{-1.0, 1.0};
-    std::vector<char> latched_;  ///< Per-window: latch captured?
+    std::vector<std::uint8_t> latched_;  ///< Per-window: latch captured?
     std::vector<platform::SensorReadings> latch_;  ///< Entry snapshots.
     FaultStats stats_;
 

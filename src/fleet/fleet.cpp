@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "core/cache.h"
@@ -76,11 +75,6 @@ validated(FleetConfig cfg)
     if (cfg.watchdog_attempts < 1) {
         throw std::invalid_argument(
             "FleetSim: watchdog_attempts must be >= 1");
-    }
-    if (!(cfg.watchdog_timeout_s > 0.0) || cfg.watchdog_backoff_s < 0.0) {
-        throw std::invalid_argument(
-            "FleetSim: watchdog timeout must be positive and backoff "
-            "non-negative");
     }
     for (const fault::FaultWindow& w : cfg.faults.windows) {
         if (w.target != fault::FaultTarget::kBoard) {
@@ -305,7 +299,7 @@ void
 FleetSim::rebootBoard(int b, int epoch, double t0)
 {
     FleetBoard& fb = *boards_[static_cast<std::size_t>(b)];
-    // Bank the dead instance's accumulators: the replacement board
+    // Bank the dead instance's accumulators: the replacement system
     // restarts its own counters at zero.
     fb.carried_energy += fb.system.board().energy();
     fb.carried_violation += fb.system.board().constraintViolationTime();
@@ -330,27 +324,21 @@ FleetSim::rebootBoard(int b, int epoch, double t0)
                                        " cold reboot");
     }
 
-    auto fresh = std::make_unique<FleetBoard>(std::move(sys));
-    FleetBoard& nf = *fresh;
-    nf.queue = std::move(fb.queue);
-    nf.queued_gi = fb.queued_gi;
-    nf.arrival_gi_ema = fb.arrival_gi_ema;
-    nf.latency = fb.latency;
-    nf.epoch_bips = fb.epoch_bips;
-    nf.epoch_power = fb.epoch_power;
-    nf.completed = fb.completed;
-    nf.served_gi = fb.served_gi;
-    nf.slo_violation_time = fb.slo_violation_time;
-    nf.lost_until = fb.lost_until;
-    nf.reboots = fb.reboots;
-    nf.carried_energy = fb.carried_energy;
-    nf.carried_violation = fb.carried_violation;
-    nf.carried_emergency = fb.carried_emergency;
+    // The board keeps its queue, histories and outcome accumulators;
+    // only the machine, its adapter and the marks taken from it start
+    // over, the adapter before the system it observes.
+    fb.adapter.reset();
+    fb.system = std::move(sys);
+    fb.last_instr = 0.0;
+    fb.last_energy = 0.0;
+    fb.bips_ema = 0.0;
+    fb.power_ema = 0.0;
     // Overlapping crash windows keep the replacement dark too.
+    fb.down = false;
     for (const fault::FaultWindow& w : cfg_.faults.windows) {
         if (w.kind == fault::FaultKind::kBoardCrash && w.board == b &&
             w.active(t0)) {
-            nf.down = true;
+            fb.down = true;
         }
     }
     if (cfg_.adapt) {
@@ -358,10 +346,9 @@ FleetSim::rebootBoard(int b, int epoch, double t0)
         // re-learns from the shipped model, like the controllers
         // restart from the shipped design. The dead instance's
         // counters are not carried (they describe a different board).
-        nf.adapter = core::makeHwAdapter(artifacts_, cfg_.adapt_options);
-        nf.adapter->setTraceSink(nf.system.traceSink());
+        fb.adapter = core::makeHwAdapter(artifacts_, cfg_.adapt_options);
+        fb.adapter->setTraceSink(fb.system.traceSink());
     }
-    boards_[static_cast<std::size_t>(b)] = std::move(fresh);
 }
 
 void
@@ -455,51 +442,21 @@ FleetSim::drainScale(int b, double t0) const
     return scale;
 }
 
-bool
-FleetSim::hangBlocks(int b, double t0, int attempt) const
+int
+FleetSim::hangStalls(int b, double t0) const
 {
+    int stalls = 0;
     for (const fault::FaultWindow& w : cfg_.faults.windows) {
         if (w.kind != fault::FaultKind::kShardHang || w.board != b ||
             !w.active(t0)) {
             continue;
         }
-        if (attempt < 0) {
-            return true;  // Fault-blind: the stall is never noticed.
-        }
         if (w.magnitude > 0.0) {
-            return true;  // Persistent: stalls every attempt.
+            return cfg_.watchdog_attempts;  // Persistent: every attempt.
         }
-        if (attempt == 0) {
-            return true;  // Transient: resolves on the first retry.
-        }
+        stalls = 1;  // Transient: resolves on the first retry.
     }
-    return false;
-}
-
-bool
-FleetSim::anyHangActive(double t0) const
-{
-    for (const fault::FaultWindow& w : cfg_.faults.windows) {
-        if (w.kind == fault::FaultKind::kShardHang && w.active(t0)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<double>
-FleetSim::capacityScale(double t0) const
-{
-    std::vector<double> scale(boards_.size(), 1.0);
-    for (std::size_t b = 0; b < boards_.size(); ++b) {
-        const FleetBoard& fb = *boards_[b];
-        if (fb.down || t0 < fb.lost_until) {
-            scale[b] = 0.0;  // Dark or lost: advertises nothing.
-            continue;
-        }
-        scale[b] = drainScale(static_cast<int>(b), t0);
-    }
-    return scale;
+    return stalls;
 }
 
 void
@@ -593,15 +550,66 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
         applyCrashTransitions(epoch, t0);
         applyDriftWindows(t0);
 
-        // --- Serial coordinator phase (board index order). ---
-        std::vector<double> scale;
-        const std::vector<double>* scale_ptr = nullptr;
-        if (cfg_.fault_aware && !cfg_.faults.empty()) {
-            scale = capacityScale(t0);
-            scale_ptr = &scale;
+        // --- Serial fault pass: each board's epoch is decided from
+        // the fault plan alone, before anything steps. A board steps
+        // unless it is dark, lost to an earlier hang, or stalled past
+        // the watchdog (or stalled at all, fault-blind). Its capacity
+        // -- 0 when dark or lost, else its drain scale -- is taken
+        // before this epoch's hang verdict extends lost_until.
+        const auto n = static_cast<std::size_t>(num_boards);
+        std::vector<double> drain(n, 1.0);
+        std::vector<double> capacity(n, 0.0);
+        std::vector<char> steps(n, 0);
+        int max_stalls = 0;
+        for (int b = 0; b < num_boards; ++b) {
+            const auto i = static_cast<std::size_t>(b);
+            FleetBoard& fb = *boards_[i];
+            drain[i] = drainScale(b, t0);
+            if (fb.down) {
+                continue;
+            }
+            if (t0 < fb.lost_until) {
+                ++fault_stats_.lost_epochs;
+                continue;
+            }
+            capacity[i] = drain[i];
+            if (drain[i] < 1.0) {
+                ++fault_stats_.degraded_epochs;
+            }
+            const int stalls = hangStalls(b, t0);
+            if (stalls > 0 && !cfg_.fault_aware) {
+                // Fault-blind: nothing notices the stall, so the epoch
+                // is silently lost and nothing routes around it.
+                ++fault_stats_.lost_epochs;
+                continue;
+            }
+            // The watchdog times out each stalled attempt; a retry
+            // steps a board whose stalls end before the attempts do.
+            fault_stats_.watchdog_timeouts += stalls;
+            max_stalls = std::max(max_stalls, stalls);
+            if (stalls < cfg_.watchdog_attempts) {
+                steps[i] = 1;
+                continue;
+            }
+            // Attempts exhausted: a persistent hang marks the board
+            // lost for the rest of its window so routing moves away.
+            ++fault_stats_.lost_epochs;
+            for (const fault::FaultWindow& w : cfg_.faults.windows) {
+                if (w.kind == fault::FaultKind::kShardHang &&
+                    w.board == b && w.active(t0) && w.magnitude > 0.0) {
+                    fb.lost_until =
+                        std::max(fb.lost_until, w.start + w.duration);
+                }
+            }
         }
-        std::vector<double> projected(
-            static_cast<std::size_t>(num_boards), 0.0);
+        fault_stats_.shard_retries +=
+            std::min(max_stalls, cfg_.watchdog_attempts - 1);
+
+        // --- Serial coordinator phase (board index order). ---
+        // Fault-blind admission and cluster targets ignore capacity.
+        const std::vector<double>* capacity_ptr =
+            cfg_.fault_aware ? &capacity : nullptr;
+        std::vector<double> projected(n, 0.0);
         for (int b = 0; b < num_boards; ++b) {
             projected[static_cast<std::size_t>(b)] =
                 boards_[static_cast<std::size_t>(b)]->queued_gi;
@@ -614,7 +622,7 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
             for (const Request& r : reqs) {
                 offered_gi += r.demand_gi;
                 const int dest =
-                    admission_.route(r, projected, scale_ptr);
+                    admission_.route(r, projected, capacity_ptr);
                 if (dest >= 0) {
                     FleetBoard& fb =
                         *boards_[static_cast<std::size_t>(dest)];
@@ -642,7 +650,7 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
                 cluster_.computeTargets(telemetry);
             bool applied = true;
             for (std::size_t b = 0; b < boards_.size(); ++b) {
-                if (scale_ptr != nullptr && (*scale_ptr)[b] <= 0.0) {
+                if (capacity_ptr != nullptr && capacity[b] <= 0.0) {
                     continue;  // Aware mode: skip dark/lost boards.
                 }
                 applied =
@@ -658,147 +666,32 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
             }
         }
 
-        // Tally degraded service (serial, deterministic).
-        for (int b = 0; b < num_boards; ++b) {
-            const FleetBoard& fb = *boards_[static_cast<std::size_t>(b)];
-            if (!fb.down && t0 >= fb.lost_until &&
-                drainScale(b, t0) < 1.0) {
-                ++fault_stats_.degraded_epochs;
-            }
-        }
-
         // --- Parallel shared-nothing shard phase. ---
-        // Which boards stepped is recorded by the shards themselves
-        // (disjoint writers, read after join); the watchdog decides
-        // from these flags, never from wall-clock task outcomes, so
-        // faulted runs stay bit-identical for any worker count.
-        std::vector<char> stepped(static_cast<std::size_t>(num_boards),
-                                  0);
-        for (int b = 0; b < num_boards; ++b) {
-            FleetBoard& fb = *boards_[static_cast<std::size_t>(b)];
-            if (fb.down) {
-                stepped[static_cast<std::size_t>(b)] = 1;  // Dark.
-            } else if (t0 < fb.lost_until) {
-                stepped[static_cast<std::size_t>(b)] = 1;
-                ++fault_stats_.lost_epochs;  // Known-lost to a hang.
-            }
-        }
-
-        const auto makeTasks = [&](int attempt, bool block_on_hang) {
-            std::vector<runner::Task> tasks;
-            for (int s = 0; s < num_shards; ++s) {
-                // Contiguous block partition: shard s owns [lo, hi).
-                const int lo = static_cast<int>(
-                    static_cast<long long>(s) * num_boards / num_shards);
-                const int hi = static_cast<int>(static_cast<long long>(
-                                                    s + 1) *
-                                                num_boards / num_shards);
-                bool needed = false;
+        // One pool pass with no deadline steps the boards the fault
+        // pass cleared; the flags are read-only here, so faulted runs
+        // stay bit-identical for any worker count.
+        std::vector<runner::Task> tasks;
+        for (int s = 0; s < num_shards; ++s) {
+            // Contiguous block partition: shard s owns [lo, hi).
+            const int lo = static_cast<int>(static_cast<long long>(s) *
+                                            num_boards / num_shards);
+            const int hi = static_cast<int>(
+                static_cast<long long>(s + 1) * num_boards / num_shards);
+            tasks.push_back([this, lo, hi, epoch_end, &steps,
+                             &drain](const runner::CancelToken&) {
                 for (int b = lo; b < hi; ++b) {
-                    needed =
-                        needed || stepped[static_cast<std::size_t>(b)] == 0;
-                }
-                if (!needed) {
-                    continue;
-                }
-                tasks.push_back([this, lo, hi, t0, epoch_end, attempt,
-                                 block_on_hang, &stepped](
-                                    const runner::CancelToken& token) {
-                    bool hung = false;
-                    for (int b = lo; b < hi; ++b) {
-                        if (stepped[static_cast<std::size_t>(b)] != 0) {
-                            continue;
-                        }
-                        if (hangBlocks(b, t0, attempt)) {
-                            hung = true;
-                            continue;
-                        }
-                        stepBoard(*boards_[static_cast<std::size_t>(b)],
-                                  epoch_end, drainScale(b, t0));
-                        stepped[static_cast<std::size_t>(b)] = 1;
-                    }
-                    if (hung && block_on_hang) {
-                        // Model the stall: this worker wedges until
-                        // the watchdog deadline fires.
-                        while (!token.expired()) {
-                            std::this_thread::yield();
-                        }
-                    }
-                });
-            }
-            return tasks;
-        };
-        const auto runShards = [&](const std::vector<runner::Task>& tasks,
-                                   double deadline) {
-            const std::vector<runner::TaskOutcome> outcomes =
-                runner::runOnPool(tasks, workers, deadline);
-            for (const runner::TaskOutcome& o : outcomes) {
-                if (o.status == runner::TaskOutcome::Status::kError) {
-                    throw std::runtime_error(
-                        "FleetSim: shard failed: " + o.error);
-                }
-            }
-        };
-
-        if (cfg_.fault_aware) {
-            for (int attempt = 0; attempt < cfg_.watchdog_attempts;
-                 ++attempt) {
-                // The deadline exists only when a hang can fire; a
-                // healthy epoch runs un-timed, exactly as before.
-                const double deadline =
-                    anyHangActive(t0)
-                        ? cfg_.watchdog_timeout_s +
-                              static_cast<double>(attempt) *
-                                  cfg_.watchdog_backoff_s
-                        : 0.0;
-                const std::vector<runner::Task> tasks =
-                    makeTasks(attempt, deadline > 0.0);
-                if (tasks.empty()) {
-                    break;
-                }
-                runShards(tasks, deadline);
-                long long hung_now = 0;
-                for (int b = 0; b < num_boards; ++b) {
-                    if (stepped[static_cast<std::size_t>(b)] == 0 &&
-                        hangBlocks(b, t0, attempt)) {
-                        ++hung_now;
+                    const auto i = static_cast<std::size_t>(b);
+                    if (steps[i] != 0) {
+                        stepBoard(*boards_[i], epoch_end, drain[i]);
                     }
                 }
-                fault_stats_.watchdog_timeouts += hung_now;
-                if (hung_now == 0) {
-                    break;
-                }
-                if (attempt + 1 < cfg_.watchdog_attempts) {
-                    ++fault_stats_.shard_retries;
-                }
-            }
-            // Attempts exhausted: the epoch is lost for any board
-            // still unstepped; a persistent hang marks the board lost
-            // for the rest of its window so routing moves away.
-            for (int b = 0; b < num_boards; ++b) {
-                if (stepped[static_cast<std::size_t>(b)] != 0) {
-                    continue;
-                }
-                FleetBoard& fb = *boards_[static_cast<std::size_t>(b)];
-                ++fault_stats_.lost_epochs;
-                for (const fault::FaultWindow& w :
-                     cfg_.faults.windows) {
-                    if (w.kind == fault::FaultKind::kShardHang &&
-                        w.board == b && w.active(t0) &&
-                        w.magnitude > 0.0) {
-                        fb.lost_until = std::max(
-                            fb.lost_until, w.start + w.duration);
-                    }
-                }
-            }
-        } else {
-            // Fault-blind: no deadline, no retry. A hung board's
-            // epoch is silently lost and nothing routes around it.
-            runShards(makeTasks(-1, false), 0.0);
-            for (int b = 0; b < num_boards; ++b) {
-                if (stepped[static_cast<std::size_t>(b)] == 0) {
-                    ++fault_stats_.lost_epochs;
-                }
+            });
+        }
+        for (const runner::TaskOutcome& o :
+             runner::runOnPool(tasks, workers)) {
+            if (o.status == runner::TaskOutcome::Status::kError) {
+                throw std::runtime_error("FleetSim: shard failed: " +
+                                         o.error);
             }
         }
 
@@ -897,20 +790,14 @@ FleetSim::state(Io& io)
     admission_.state(io);
     cluster_.state(io);
     fault_stats_.state(io);
-    std::vector<std::uint64_t> entered(crash_entered_.begin(),
-                                       crash_entered_.end());
-    std::vector<std::uint64_t> exited(crash_exited_.begin(),
-                                      crash_exited_.end());
-    io.u64vec("ckpt.crash_entered", entered);
-    io.u64vec("ckpt.crash_exited", exited);
+    io.intvec("ckpt.crash_entered", crash_entered_);
+    io.intvec("ckpt.crash_exited", crash_exited_);
     if constexpr (Io::kLoading) {
-        if (entered.size() != cfg_.faults.windows.size() ||
-            exited.size() != cfg_.faults.windows.size()) {
+        if (crash_entered_.size() != cfg_.faults.windows.size() ||
+            crash_exited_.size() != cfg_.faults.windows.size()) {
             throw std::runtime_error(
                 "FleetSim: checkpoint fault-window count mismatch");
         }
-        crash_entered_.assign(entered.begin(), entered.end());
-        crash_exited_.assign(exited.begin(), exited.end());
     }
     io.expect("ckpt.boards", boards_.size());
     for (const auto& fbp : boards_) {

@@ -9,37 +9,42 @@
  * request workload, a fleet-level admission layer, and a cluster
  * controller that redistributes per-board power/performance targets.
  *
- * Execution alternates two phases per epoch:
+ * Execution runs three phases per epoch:
  *
- *   serial coordinator -- apply board-fault transitions (crashes and
- *     cold reboots), generate arrivals (counter-hashed), route them
- *     through admission, and (on due epochs) recompute and pin
+ *   serial fault pass -- apply board-fault transitions (crashes and
+ *     cold reboots, drift), then decide each board's epoch from the
+ *     fault plan alone: dark, lost, degraded, or stalled by a hang
+ *     (and the watchdog's verdict on it), hence whether it steps,
+ *     what capacity it advertises, and at what rate it drains.
+ *   serial coordinator -- generate arrivals (counter-hashed), route
+ *     them through admission, and (on due epochs) recompute and pin
  *     cluster targets; everything in board index order.
- *   parallel shards -- shared-nothing: each shard steps its boards
- *     one control period and drains their request queues at the rate
- *     of giga-instructions actually retired. No shared mutable state,
- *     no locks, no wall-clock reads.
+ *   parallel shards -- shared-nothing: one pool pass in which each
+ *     shard steps its boards one control period and drains their
+ *     request queues at the rate of giga-instructions actually
+ *     retired. No shared mutable state, no locks, no clock.
  *
- * Because the coordinator is serial and deterministic, the shards are
+ * Because the serial phases are deterministic, the shards are
  * shared-nothing, and rollups merge in board index order, the run
  * result is a pure function of the config: bit-identical for 1 vs N
  * pool workers (FleetMetrics::digest() makes that one integer
  * comparison).
  *
  * Fault tolerance. The config may carry a board-targeted FaultPlan
- * (board<i> targets: crash, degrade, hang -- see fault/plan.h).
- * Crashed boards go dark (their queue dropped or preserved per the
- * window's magnitude) and cold-reboot through the supervisor ladder
- * when the window ends. With fault_aware set, a watchdog guards the
- * shard phase: each shard attempt runs against a wall-clock deadline,
- * boards that did not step are retried with backoff, and a
- * persistently hung board is marked lost for the rest of its window
- * so admission and the cluster layer route around it. Fault-blind
- * runs keep routing work to dark boards and silently lose hung
- * epochs -- the baseline bench_fleet_faults compares against.
- * Whether a board stepped is decided from per-board stepped flags
- * written by the shards themselves, never from wall-clock task
- * outcomes, so faulted runs stay bit-identical for any worker count.
+ * (board<i> targets: crash, degrade, hang, drift -- see
+ * fault/plan.h). Crashed boards go dark (their queue dropped or
+ * preserved per the window's magnitude) and cold-reboot through the
+ * supervisor ladder when the window ends. A hang stalls the shard
+ * worker stepping its board: a transient one for one attempt, a
+ * persistent one for every attempt. With fault_aware set, a watchdog
+ * times out each stalled attempt and retries, up to
+ * watchdog_attempts; a board whose stalls outlast them loses the
+ * epoch, and a persistently hung one is marked lost for the rest of
+ * its window so admission and the cluster layer route around it.
+ * Fault-blind runs keep routing work to dark boards and silently lose
+ * every stalled epoch -- the baseline bench_fleet_faults compares
+ * against. The fault pass settles these verdicts from simulated time
+ * before any board steps, so nothing waits on a wall clock.
  *
  * Checkpoint/resume. saveCheckpoint() serializes the entire fleet --
  * every board's plant, controller, and supervisor state, request
@@ -116,10 +121,10 @@ struct FleetConfig
     fault::FaultPlan faults;
 
     /**
-     * True: watchdog-guarded shards, capacity-scaled admission, and
-     * cluster targets skip dark boards. False: the fault-blind
-     * baseline -- no watchdog, admission keeps filling dark boards,
-     * hung epochs are silently lost.
+     * True: watchdog retries for stalled boards, capacity-scaled
+     * admission, and cluster targets skip dark or lost boards. False:
+     * the fault-blind baseline -- no watchdog, admission keeps filling
+     * dark boards, stalled epochs are silently lost.
      */
     bool fault_aware = true;
 
@@ -147,19 +152,18 @@ struct FleetConfig
     core::AdaptOptions adapt_options = defaultFleetAdaptOptions();
 
     /**
-     * Shard attempts per epoch before a hung board is declared lost
-     * (>= 1). Part of the run's identity; the wall-clock watchdog
-     * deadline/backoff below are not (they only bound real time).
+     * Attempts the watchdog gives a stalled board per epoch before the
+     * epoch is lost (>= 1): a transient hang needs 2, and a persistent
+     * one exhausts any number. Each stalled attempt counts a timeout,
+     * each retry round a shard retry. Part of the run's identity.
      */
     int watchdog_attempts = 2;
 
-    double watchdog_timeout_s = 0.25;  ///< Wall deadline per attempt.
-    double watchdog_backoff_s = 0.25;  ///< Added per retry attempt.
-
     /**
      * @return a normalized string over every identity-bearing field
-     * (worker count and wall-clock watchdog knobs excluded).
-     * Checkpoints embed it; restore refuses a mismatch.
+     * (batch_tick, adapt and adapt_options excluded; the worker count
+     * is not a field). Checkpoints embed it; restore refuses a
+     * mismatch.
      */
     std::string canonical() const;
 };
@@ -372,8 +376,8 @@ class FleetSim
     int epoch_ = 0;  ///< Next epoch to execute.
 
     // Per-crash-window transition flags (board went dark / rebooted).
-    std::vector<char> crash_entered_;
-    std::vector<char> crash_exited_;
+    std::vector<std::uint8_t> crash_entered_;
+    std::vector<std::uint8_t> crash_exited_;
     FaultDomainStats fault_stats_;
 
     /** @return the counter-hashed base seed for board @p b. */
@@ -402,23 +406,22 @@ class FleetSim
      */
     void stepAdaptation(std::size_t workers, double t0);
 
-    /** Rebuilds board @p b fresh through the supervisor ladder. */
+    /**
+     * Cold-reboots board @p b in place: a fresh system (through the
+     * supervisor ladder) and adapter; the queue, histories and outcome
+     * accumulators stay.
+     */
     void rebootBoard(int b, int epoch, double t0);
 
     /** Remaining drain capacity fraction for board @p b at @p t0. */
     double drainScale(int b, double t0) const;
 
     /**
-     * True when board @p b's shard worker stalls at @p t0 on attempt
-     * @p attempt (negative = fault-blind: any active hang stalls).
+     * @return the watchdog attempts board @p b's shard worker stalls
+     * at @p t0: 0 with no hang window active, 1 for a transient hang
+     * (a retry steps it), watchdog_attempts for a persistent one.
      */
-    bool hangBlocks(int b, double t0, int attempt) const;
-
-    /** @return true when any hang window is active at @p t0. */
-    bool anyHangActive(double t0) const;
-
-    /** Per-board admission capacity scale at @p t0 (aware mode). */
-    std::vector<double> capacityScale(double t0) const;
+    int hangStalls(int b, double t0) const;
 
     /**
      * Steps one board one control period, then does its EMA/rollup

@@ -151,7 +151,7 @@ MergeableHistogram::state(Io& io)
 {
     io.expect("hist.bounds", bounds_.size());
     io.expect("hist.bounds_fnv1a", boundsFingerprint(bounds_));
-    io.i64vec("hist.counts", counts_);
+    io.intvec("hist.counts", counts_);
     if constexpr (Io::kLoading) {
         if (counts_.size() != bounds_.size() + 1) {
             throw std::runtime_error(

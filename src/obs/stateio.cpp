@@ -65,38 +65,6 @@ parseWhole(std::string_view v, Int& out)
     return ec == std::errc() && ptr == end;
 }
 
-/** Appends @p v in base 10. */
-template <typename Int>
-void
-appendInt(std::string& out, Int v)
-{
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof buf, v);
-    out.append(buf, res.ptr);
-}
-
-/** Appends @p n in base 10 and the `:` that ends a vector count. */
-void
-appendCount(std::string& out, std::size_t n)
-{
-    appendInt(out, static_cast<std::uint64_t>(n));
-    out += ':';
-}
-
-/** Appends `<n>:` and the elements of @p v, comma-separated. */
-template <typename Int>
-void
-appendIntVec(std::string& out, const std::vector<Int>& v)
-{
-    appendCount(out, v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i > 0) {
-            out += ',';
-        }
-        appendInt(out, v[i]);
-    }
-}
-
 }  // namespace
 
 StateWriter::StateWriter(std::size_t capacity)
@@ -115,7 +83,7 @@ void
 StateWriter::u64(std::string_view key, std::uint64_t v)
 {
     begin(key);
-    appendInt(buf_, v);
+    appendInt(v);
     buf_ += '\n';
 }
 
@@ -123,7 +91,7 @@ void
 StateWriter::i64(std::string_view key, long long v)
 {
     begin(key);
-    appendInt(buf_, v);
+    appendInt(v);
     buf_ += '\n';
 }
 
@@ -165,7 +133,8 @@ void
 StateWriter::f64vec(std::string_view key, const std::vector<double>& v)
 {
     begin(key);
-    appendCount(buf_, v.size());
+    appendInt(v.size());
+    buf_ += ':';
     const std::size_t at = buf_.size();
     buf_.resize(at + 16 * v.size());
     char* out = buf_.data() + at;
@@ -177,27 +146,11 @@ StateWriter::f64vec(std::string_view key, const std::vector<double>& v)
 }
 
 void
-StateWriter::i64vec(std::string_view key, const std::vector<long long>& v)
-{
-    begin(key);
-    appendIntVec(buf_, v);
-    buf_ += '\n';
-}
-
-void
-StateWriter::u64vec(std::string_view key,
-                    const std::vector<std::uint64_t>& v)
-{
-    begin(key);
-    appendIntVec(buf_, v);
-    buf_ += '\n';
-}
-
-void
 StateWriter::engine(std::string_view key, const Mt19937& e)
 {
     begin(key);
-    appendCount(buf_, e.position());
+    appendInt(e.position());
+    buf_ += ':';
     const std::size_t at = buf_.size();
     buf_.resize(at + 8 * Mt19937::kWords);
     char* out = buf_.data() + at;

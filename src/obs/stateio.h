@@ -29,6 +29,8 @@
  * edges.
  */
 
+#include <charconv>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
@@ -67,12 +69,21 @@ class StateWriter
     /** Writes `key=<n>:` then n 16-hex-digit bit patterns. */
     void f64vec(std::string_view key, const std::vector<double>& v);
 
-    /** Writes `key=<n>:` then n comma-separated integers. */
-    void i64vec(std::string_view key, const std::vector<long long>& v);
-
-    /** Writes `key=<n>:` then n comma-separated integers. */
-    void u64vec(std::string_view key,
-                const std::vector<std::uint64_t>& v);
+    /** Writes `key=<n>:` then @p v's n integers, comma-separated. */
+    template <std::integral Int>
+    void intvec(std::string_view key, const std::vector<Int>& v)
+    {
+        begin(key);
+        appendInt(v.size());
+        buf_ += ':';
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i > 0) {
+                buf_ += ',';
+            }
+            appendInt(v[i]);
+        }
+        buf_ += '\n';
+    }
 
     /** Writes an enumerator as its underlying value. */
     template <typename E>
@@ -134,6 +145,15 @@ class StateWriter
 
     /** Appends `key=`. */
     void begin(std::string_view key);
+
+    /** Appends @p v in base 10. */
+    template <typename Int>
+    void appendInt(Int v)
+    {
+        char digits[24];
+        buf_.append(digits,
+                    std::to_chars(digits, digits + sizeof digits, v).ptr);
+    }
 };
 
 /**
@@ -167,10 +187,10 @@ class StateReader
     /** Reads a f64vec written by StateWriter::f64vec. */
     std::vector<double> f64vec(std::string_view key);
 
-    /** Reads an i64vec written by StateWriter::i64vec. */
+    /** Reads a StateWriter::intvec field of signed integers. */
     std::vector<long long> i64vec(std::string_view key);
 
-    /** Reads a u64vec written by StateWriter::u64vec. */
+    /** Reads a StateWriter::intvec field of unsigned integers. */
     std::vector<std::uint64_t> u64vec(std::string_view key);
 
     /**
@@ -196,14 +216,26 @@ class StateReader
     void f64(std::string_view k, double& v) { v = f64(k); }
     void str(std::string_view k, std::string& v) { v = str(k); }
     void f64vec(std::string_view k, std::vector<double>& v) { v = f64vec(k); }
-    void i64vec(std::string_view k, std::vector<long long>& v)
+
+    /**
+     * Reads a StateWriter::intvec field into @p v, refusing an element
+     * that does not fit Int as the scalar reference forms do.
+     */
+    template <std::integral Int>
+    void intvec(std::string_view key, std::vector<Int>& v)
     {
-        v = i64vec(k);
-    }
-    /** Reference form of u64vec. */
-    void u64vec(std::string_view k, std::vector<std::uint64_t>& v)
-    {
-        v = u64vec(k);
+        std::vector<std::conditional_t<std::is_signed_v<Int>, long long,
+                                       std::uint64_t>>
+            wide;
+        if constexpr (std::is_signed_v<Int>) {
+            wide = i64vec(key);
+        } else {
+            wide = u64vec(key);
+        }
+        v.resize(wide.size());
+        for (std::size_t i = 0; i < wide.size(); ++i) {
+            v[i] = fit<Int>(key, wide[i]);
+        }
     }
 
     /** Restores @p e from a field written by StateWriter::engine. */

@@ -405,14 +405,14 @@ Board::state(Io& io)
     io.f64("board.policy.tpc_big", policy_.tpc_big);
     io.f64("board.policy.tpc_little", policy_.tpc_little);
 
-    io.u64vec("board.place.big", placement_.big_core_threads);
-    io.u64vec("board.place.little", placement_.little_core_threads);
+    io.intvec("board.place.big", placement_.big_core_threads);
+    io.intvec("board.place.little", placement_.little_core_threads);
     std::vector<std::uint64_t> clusters;
     clusters.reserve(placement_.thread_cluster.size());
     for (const ClusterId c : placement_.thread_cluster) {
         clusters.push_back(c == ClusterId::kBig ? 1 : 0);
     }
-    io.u64vec("board.place.cluster", clusters);
+    io.intvec("board.place.cluster", clusters);
     if constexpr (Io::kLoading) {
         placement_.thread_cluster.clear();
         for (const std::uint64_t c : clusters) {
@@ -420,7 +420,7 @@ Board::state(Io& io)
                 c != 0 ? ClusterId::kBig : ClusterId::kLittle);
         }
     }
-    io.u64vec("board.place.core", placement_.thread_core);
+    io.intvec("board.place.core", placement_.thread_core);
     io.u64("board.place.version", placement_version_);
 
     io.f64("board.time", time_);

@@ -325,10 +325,12 @@ TEST(Fleet, FaultInjectorStateSurvivesRestore)
     EXPECT_EQ(a.take(), b.take());
 
     // Latch state for fewer windows than the plan has is refused, not
-    // indexed past its end.
+    // indexed past its end, and a latch flag past a byte is refused,
+    // not truncated.
     for (const auto& [from, to] :
          {std::pair<std::string, std::string>{"\ninj.latched=3:1,1,0\n",
                                               "\ninj.latched=2:1,1\n"},
+          {"\ninj.latched=3:1,1,0\n", "\ninj.latched=3:1,256,0\n"},
           {"\ninj.latch.n=3\n", "\ninj.latch.n=2\n"}}) {
         std::string edited = body;
         const std::size_t at = edited.find(from);

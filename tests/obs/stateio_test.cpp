@@ -67,7 +67,7 @@ TEST(StateReader, IntegerExtremesRoundTripExactly)
     w.i64("lo", lo);
     w.i64("hi", hi);
     w.u64("top", top);
-    w.i64vec("v", {lo, -1, 0, hi});
+    w.intvec("v", std::vector<long long>{lo, -1, 0, hi});
 
     StateReader r(w.take());
     EXPECT_EQ(r.i64("lo"), lo);
@@ -118,8 +118,8 @@ TEST(StateReader, EmptyVectorsRoundTrip)
 {
     StateWriter w;
     w.f64vec("f", {});
-    w.i64vec("i", {});
-    w.u64vec("u", {});
+    w.intvec("i", std::vector<long long>{});
+    w.intvec("u", std::vector<std::uint64_t>{});
     StateReader r(w.take());
     EXPECT_TRUE(r.f64vec("f").empty());
     EXPECT_TRUE(r.i64vec("i").empty());
@@ -131,8 +131,8 @@ TEST(StateReader, VectorIsOneFieldWithItsCount)
 {
     StateWriter w;
     w.f64vec("f", {1.0, -2.0});
-    w.i64vec("i", {-3, 0, 7});
-    w.u64vec("u", {5});
+    w.intvec("i", std::vector<long long>{-3, 0, 7});
+    w.intvec("u", std::vector<std::uint64_t>{5});
     EXPECT_EQ(w.take(),
               "f=2:3ff0000000000000c000000000000000\n"
               "i=3:-3,0,7\n"
@@ -305,6 +305,40 @@ TEST(StateReader, ReferenceFormsRefuseWhatDoesNotFitTheMember)
                           rd.expect("k", std::uint64_t{46});
                       })
                   .find("reading 'k': saved 45 where this instance has 46"),
+              std::string::npos);
+}
+
+// intvec writes a vector of any integer type in one encoding and reads
+// it back with each element checked against the member's type.
+TEST(StateReader, IntegerVectorReferenceFormChecksEachElement)
+{
+    std::vector<int> dirs{1, -1, 1};
+    std::vector<std::uint8_t> flags{0, 1, 255};
+    StateWriter w;
+    w.intvec("dirs", dirs);
+    w.intvec("flags", flags);
+    const std::string body = w.take();
+    EXPECT_EQ(body, "dirs=3:1,-1,1\nflags=3:0,1,255\n");
+    StateReader r(body);
+    dirs.clear();
+    flags.clear();
+    r.intvec("dirs", dirs);
+    r.intvec("flags", flags);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(dirs, (std::vector<int>{1, -1, 1}));
+    EXPECT_EQ(flags, (std::vector<std::uint8_t>{0, 1, 255}));
+
+    EXPECT_NE(refusal("k=2:1,4294967297\n",
+                      [&](StateReader& rd) { rd.intvec("k", dirs); })
+                  .find("reading 'k': value 4294967297 does not fit"),
+              std::string::npos);
+    EXPECT_NE(refusal("k=3:1,256,0\n",
+                      [&](StateReader& rd) { rd.intvec("k", flags); })
+                  .find("reading 'k': value 256 does not fit"),
+              std::string::npos);
+    EXPECT_NE(refusal("k=1:-1\n",
+                      [&](StateReader& rd) { rd.intvec("k", flags); })
+                  .find("reading 'k'"),
               std::string::npos);
 }
 
