@@ -103,6 +103,21 @@ TEST_F(GoldenFixture, PidBaselineTraceMatchesGolden)
     expectMatchesGolden("pid");
 }
 
+TEST_F(GoldenFixture, FullSsvStackTraceMatchesGolden)
+{
+    expectMatchesGolden("full");
+}
+
+TEST_F(GoldenFixture, DecoupledLqgTraceMatchesGolden)
+{
+    expectMatchesGolden("lqg");
+}
+
+TEST_F(GoldenFixture, MonolithicLqgTraceMatchesGolden)
+{
+    expectMatchesGolden("mono");
+}
+
 TEST_F(GoldenFixture, CommittedTracesParseAndCarryBothLayers)
 {
     for (const char* scheme : kGoldenSchemes) {
@@ -111,11 +126,14 @@ TEST_F(GoldenFixture, CommittedTracesParseAndCarryBothLayers)
         auto events = obs::readJsonlTrace(is, &run_id);
         ASSERT_TRUE(events.has_value()) << scheme;
         EXPECT_EQ(run_id, "golden-" + std::string(scheme));
+        // The monolithic LQG runs both layers as one "joint" loop.
+        const std::string hw_layer =
+            std::string(scheme) == "mono" ? "joint" : "hw";
         bool saw_hw = false;
         bool saw_cmd = false;
         bool saw_plant = false;
         for (const obs::TraceEvent& ev : *events) {
-            saw_hw = saw_hw || ev.layer() == "hw";
+            saw_hw = saw_hw || ev.layer() == hw_layer;
             saw_cmd = saw_cmd || (ev.layer() == "sys" && ev.kind() == "cmd");
             saw_plant =
                 saw_plant || (ev.layer() == "sys" && ev.kind() == "plant");

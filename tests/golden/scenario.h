@@ -7,9 +7,11 @@
  * regression test (golden_test.cpp) and the re-blessing tool
  * (regen_golden.cpp) so both always run the exact same experiment.
  *
- * Two schemes are pinned: the SSV multilayer stack (the paper's
- * hardware layer) and the SISO PID baseline, both driving the
- * "swaptions" workload from the same seed for a short fixed budget.
+ * Five schemes are pinned, all driving the "swaptions" workload from
+ * the same seed for a short fixed budget: HW SSV + OS heuristic, the
+ * SISO PID baseline, the full SSV stack (HW SSV + OS SSV), the
+ * decoupled LQG pair and the monolithic LQG. Between them they cover
+ * every model-based controller's events: hw/os/joint x ssv/lqg.
  * Everything here must stay deterministic: any change to controller
  * math, plant models, or event emission shows up as a byte diff
  * against the committed traces in this directory and needs a
@@ -19,6 +21,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "controllers/heuristics.h"
 #include "controllers/multilayer.h"
@@ -39,7 +42,8 @@ inline constexpr std::uint32_t kGoldenSeed = 1;
 inline const char* const kGoldenWorkload = "swaptions";
 
 /** The pinned scheme identifiers (also the trace file stems). */
-inline const char* const kGoldenSchemes[] = {"ssv", "pid"};
+inline const char* const kGoldenSchemes[] = {"ssv", "pid", "full", "lqg",
+                                              "mono"};
 
 /** @return the committed trace file name for @p scheme_id. */
 inline std::string
@@ -68,16 +72,25 @@ goldenArtifacts()
 /**
  * Instantiates the system for one golden scheme id: "ssv" is the
  * two-layer HW-SSV + OS-heuristic stack, "pid" the SISO PID baseline
- * with the same OS layer.
+ * with the same OS layer, "full" HW SSV + OS SSV, "lqg" the decoupled
+ * HW LQG + OS LQG pair and "mono" the monolithic LQG.
  * @throws std::invalid_argument on an unknown id.
  */
 inline controllers::MultilayerSystem
 makeGoldenSystem(const std::string& scheme_id, const core::Artifacts& art)
 {
-    if (scheme_id == "ssv") {
-        return core::makeSystem(core::Scheme::kYuktaHwSsvOsHeuristic, art,
-                                runner::makeWorkload(kGoldenWorkload),
-                                kGoldenSeed);
+    const std::pair<const char*, core::Scheme> schemes[] = {
+        {"ssv", core::Scheme::kYuktaHwSsvOsHeuristic},
+        {"full", core::Scheme::kYuktaFull},
+        {"lqg", core::Scheme::kDecoupledLqg},
+        {"mono", core::Scheme::kMonolithicLqg},
+    };
+    for (const auto& [id, scheme] : schemes) {
+        if (scheme_id == id) {
+            return core::makeSystem(scheme, art,
+                                    runner::makeWorkload(kGoldenWorkload),
+                                    kGoldenSeed);
+        }
     }
     if (scheme_id == "pid") {
         platform::Board board(art.cfg, runner::makeWorkload(kGoldenWorkload),
