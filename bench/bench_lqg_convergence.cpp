@@ -108,12 +108,10 @@ main()
     int lqg_intervals = powerConvergenceIntervals(
         cfg,
         [&]() {
-            // LQG has no holdTargets: approximate with a fresh run and
-            // the optimizer-free fixed-target SSV procedure applied to
-            // the LQG runtime via a small adapter.
             auto hw = std::make_unique<controllers::LqgHwController>(
                 core::makeLqgRuntime(artifacts.hw_lqg),
                 controllers::makeHwOptimizer(cfg));
+            hw->holdTargets(fixed_targets);
             return hw;
         },
         2.5, 0.5);

@@ -193,6 +193,12 @@ echo "=== fault matrix: supervised vs unsupervised smoke ==="
 # constraint-violation time in every fault scenario.
 ./build-checks/bench/bench_faults --quick
 
+echo "=== Sec. VI-B LQG legs under contracts ==="
+# Every LQG loop (wasted actuation, held-target power convergence,
+# optimizer search) runs with all contracts live. Gated on the exit
+# code only: the printed numbers are not checked yet.
+./build-checks/bench/bench_lqg_convergence
+
 echo "=== runner, robust + fleet tests under ThreadSanitizer ==="
 # Availability-gated: probe whether this toolchain can link TSan
 # before committing to the build (some containers ship a compiler

@@ -15,6 +15,8 @@
  * controller's inputs.
  */
 
+#include <utility>
+
 #include "linalg/vector.h"
 #include "obs/stateio.h"
 #include "platform/board.h"
@@ -65,14 +67,25 @@ struct OsSignals
     double freq_little = 1.4;
 };
 
-/** Hardware-layer controller interface. */
-class HwController
+/** Signals visible to a loop over both layers (the monolithic LQG). */
+struct JointSignals
+{
+    HwSignals hw;
+    OsSignals os;
+};
+
+/**
+ * One layer's controller interface: each 500 ms invocation maps the
+ * layer's @p Signals to its @p Command.
+ */
+template <class Signals, class Command>
+class LayerController
 {
   public:
-    virtual ~HwController() = default;
+    virtual ~LayerController() = default;
 
     /** One 500 ms invocation: observe @p s, return actuation. */
-    virtual platform::HardwareInputs invoke(const HwSignals& s) = 0;
+    virtual Command invoke(const Signals& s) = 0;
 
     /** Resets internal state between runs. */
     virtual void reset() {}
@@ -85,12 +98,13 @@ class HwController
     virtual void attachTrace(obs::TraceSink* sink) { (void)sink; }
 
     /**
-     * Pins the output targets to @p targets, bypassing the local
-     * E x D optimizer — the hook a *cluster-level* controller uses to
-     * set this board's operating point ([BIPS, P_big, P_little, T]
-     * for the hardware layer). @return false when this controller has
-     * no target mechanism (heuristics); the caller then leaves the
-     * board self-governed.
+     * Pins the output targets to @p targets, in the layer's output
+     * order, bypassing the local E x D optimizer — the hook a
+     * *cluster-level* controller uses to set this board's operating
+     * point ([BIPS, P_big, P_little, T] for the hardware layer).
+     * @return false when this controller holds no targets
+     * (heuristics, PID, the LQG OS and monolithic loops); the caller
+     * then leaves the board self-governed.
      */
     virtual bool holdTargets(const linalg::Vector& targets)
     {
@@ -107,36 +121,16 @@ class HwController
     virtual void state(obs::StateReader& r) { (void)r; }
 };
 
-/** Software-layer controller interface. */
-class OsController
-{
-  public:
-    virtual ~OsController() = default;
+/** Hardware-layer controller interface. */
+using HwController = LayerController<HwSignals, platform::HardwareInputs>;
 
-    /** One 500 ms invocation: observe @p s, return placement policy. */
-    virtual platform::PlacementPolicy invoke(const OsSignals& s) = 0;
+/** Software-layer controller interface (the placement policy). */
+using OsController = LayerController<OsSignals, platform::PlacementPolicy>;
 
-    /** Resets internal state between runs. */
-    virtual void reset() {}
-
-    /** Attaches @p sink for per-tick event tracing (nullptr detaches). */
-    virtual void attachTrace(obs::TraceSink* sink) { (void)sink; }
-
-    /**
-     * Pins the output targets ([BIPS_big, BIPS_little, dSC]) to
-     * @p targets, bypassing the local optimizer. @return false when
-     * unsupported.
-     */
-    virtual bool holdTargets(const linalg::Vector& targets)
-    {
-        (void)targets;
-        return false;
-    }
-
-    /** Checkpoint hooks, as HwController's (default: no state). */
-    virtual void state(obs::StateWriter& w) { (void)w; }
-    virtual void state(obs::StateReader& r) { (void)r; }
-};
+/** Controller that manages both layers from one loop. */
+using JointController =
+    LayerController<JointSignals, std::pair<platform::HardwareInputs,
+                                            platform::PlacementPolicy>>;
 
 }  // namespace yukta::controllers
 

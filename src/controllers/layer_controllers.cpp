@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
-#include "obs/trace.h"
 
 namespace yukta::controllers {
 
@@ -79,197 +76,27 @@ makeMonolithicOptimizer(const platform::BoardConfig& cfg)
     return ExdOptimizer(oc);
 }
 
-// ----------------------------------------------------------------
-// SSV hardware controller.
-// ----------------------------------------------------------------
+namespace {
 
-SsvHwController::SsvHwController(SsvRuntime runtime, ExdOptimizer optimizer)
-    : runtime_(std::move(runtime)), optimizer_(std::move(optimizer))
-{
-}
-
-bool
-SsvHwController::holdTargets(const Vector& targets)
-{
-    held_targets_ = targets;
-    hold_ = true;
-    return true;
-}
-
-void
-SsvHwController::attachTrace(obs::TraceSink* sink)
-{
-    trace_ = sink;
-    optimizer_.attachTrace(sink, "opt-hw");
-}
-
-HardwareInputs
-SsvHwController::invoke(const HwSignals& s)
-{
-    Vector y{s.perf_bips, s.p_big, s.p_little, s.temp};
-    Vector targets =
-        hold_ ? held_targets_
-              : optimizer_.update(
-                    exdMetric(s.p_big + s.p_little, s.perf_bips), y);
-    Vector ext{s.threads_big, s.tpc_big, s.tpc_little};
-    SsvInvokeInfo info;
-    Vector u = runtime_.invoke(targets - y, ext,
-                               trace_ != nullptr ? &info : nullptr);
-    if (trace_ != nullptr) {
-        obs::TraceEvent ev = trace_->makeEvent("hw", "ssv");
-        ev.vec("y", y.raw())
-            .vec("targets", targets.raw())
-            .vec("dy", info.dy.raw())
-            .vec("ext", ext.raw())
-            .vec("x", info.x.raw())
-            .vec("u_raw", info.u_raw.raw())
-            .vec("u", u.raw())
-            .flags("sat", info.saturated)
-            .flags("quant", info.quantized);
-        trace_->record(std::move(ev));
-    }
-
-    HardwareInputs out;
-    out.big_cores = static_cast<std::size_t>(std::lround(u[0]));
-    out.little_cores = static_cast<std::size_t>(std::lround(u[1]));
-    out.freq_big = u[2];
-    out.freq_little = u[3];
-    return out;
-}
-
-void
-SsvHwController::reset()
-{
-    runtime_.reset();
-    optimizer_.reset();
-}
-
-void
-SsvHwController::swapRuntime(SsvRuntime runtime, const Vector& u_prev)
-{
-    runtime.armBumpless(u_prev);
-    runtime_ = std::move(runtime);
-}
-
-void
-SsvHwController::installRuntime(SsvRuntime runtime)
-{
-    runtime_ = std::move(runtime);
-}
-
-// ----------------------------------------------------------------
-// SSV software controller.
-// ----------------------------------------------------------------
-
-SsvOsController::SsvOsController(SsvRuntime runtime, ExdOptimizer optimizer)
-    : runtime_(std::move(runtime)), optimizer_(std::move(optimizer))
-{
-}
-
-bool
-SsvOsController::holdTargets(const Vector& targets)
-{
-    held_targets_ = targets;
-    hold_ = true;
-    return true;
-}
-
-void
-SsvOsController::attachTrace(obs::TraceSink* sink)
-{
-    trace_ = sink;
-    optimizer_.attachTrace(sink, "opt-os");
-}
-
+/** Maps u[at..at+2] to the placement policy. */
 PlacementPolicy
-SsvOsController::invoke(const OsSignals& s)
+placementFrom(const Vector& u, std::size_t at, std::size_t num_threads)
 {
-    Vector y{s.perf_big, s.perf_little, s.d_spare};
-    Vector targets =
-        hold_ ? held_targets_
-              : optimizer_.update(
-                    exdMetric(s.total_power, s.perf_big + s.perf_little),
-                    y);
-    Vector ext{s.big_cores, s.little_cores, s.freq_big, s.freq_little};
-    SsvInvokeInfo info;
-    Vector u = runtime_.invoke(targets - y, ext,
-                               trace_ != nullptr ? &info : nullptr);
-    if (trace_ != nullptr) {
-        obs::TraceEvent ev = trace_->makeEvent("os", "ssv");
-        ev.vec("y", y.raw())
-            .vec("targets", targets.raw())
-            .vec("dy", info.dy.raw())
-            .vec("ext", ext.raw())
-            .vec("x", info.x.raw())
-            .vec("u_raw", info.u_raw.raw())
-            .vec("u", u.raw())
-            .flags("sat", info.saturated)
-            .flags("quant", info.quantized);
-        trace_->record(std::move(ev));
-    }
-
     PlacementPolicy out;
     // Threads assigned to big cannot exceed the runnable threads.
     out.threads_big =
-        std::clamp(u[0], 0.0, static_cast<double>(s.num_threads));
-    out.tpc_big = std::max(1.0, u[1]);
-    out.tpc_little = std::max(1.0, u[2]);
+        std::clamp(u[at], 0.0, static_cast<double>(num_threads));
+    out.tpc_big = std::max(1.0, u[at + 1]);
+    out.tpc_little = std::max(1.0, u[at + 2]);
     return out;
 }
 
-void
-SsvOsController::reset()
-{
-    runtime_.reset();
-    optimizer_.reset();
-}
-
-// ----------------------------------------------------------------
-// LQG controllers.
-// ----------------------------------------------------------------
-
-LqgHwController::LqgHwController(LqgRuntime runtime, ExdOptimizer optimizer)
-    : runtime_(std::move(runtime)), optimizer_(std::move(optimizer))
-{
-}
-
-void
-LqgHwController::attachTrace(obs::TraceSink* sink)
-{
-    trace_ = sink;
-    optimizer_.attachTrace(sink, "opt-hw");
-}
-
-bool
-LqgHwController::holdTargets(const Vector& targets)
-{
-    held_targets_ = targets;
-    hold_ = true;
-    return true;
-}
+}  // namespace
 
 HardwareInputs
-LqgHwController::invoke(const HwSignals& s)
+HwLayer::command(const Vector& u, const Signals& s)
 {
-    Vector y{s.perf_bips, s.p_big, s.p_little, s.temp};
-    Vector targets =
-        hold_ ? held_targets_
-              : optimizer_.update(
-                    exdMetric(s.p_big + s.p_little, s.perf_bips), y);
-    LqgInvokeInfo info;
-    Vector u = runtime_.invoke(targets - y,
-                               trace_ != nullptr ? &info : nullptr);
-    if (trace_ != nullptr) {
-        obs::TraceEvent ev = trace_->makeEvent("hw", "lqg");
-        ev.vec("y", y.raw())
-            .vec("targets", targets.raw())
-            .vec("x", info.x.raw())
-            .vec("u_raw", info.u_raw.raw())
-            .vec("u", u.raw())
-            .flags("sat", info.saturated);
-        trace_->record(std::move(ev));
-    }
-
+    (void)s;
     HardwareInputs out;
     out.big_cores = static_cast<std::size_t>(std::lround(u[0]));
     out.little_cores = static_cast<std::size_t>(std::lround(u[1]));
@@ -278,117 +105,16 @@ LqgHwController::invoke(const HwSignals& s)
     return out;
 }
 
-void
-LqgHwController::reset()
-{
-    runtime_.reset();
-    optimizer_.reset();
-}
-
-LqgOsController::LqgOsController(LqgRuntime runtime, ExdOptimizer optimizer)
-    : runtime_(std::move(runtime)), optimizer_(std::move(optimizer))
-{
-}
-
-void
-LqgOsController::attachTrace(obs::TraceSink* sink)
-{
-    trace_ = sink;
-    optimizer_.attachTrace(sink, "opt-os");
-}
-
 PlacementPolicy
-LqgOsController::invoke(const OsSignals& s)
+OsLayer::command(const Vector& u, const Signals& s)
 {
-    Vector y{s.perf_big, s.perf_little, s.d_spare};
-    Vector targets = optimizer_.update(
-        exdMetric(s.total_power, s.perf_big + s.perf_little), y);
-    LqgInvokeInfo info;
-    Vector u = runtime_.invoke(targets - y,
-                               trace_ != nullptr ? &info : nullptr);
-    if (trace_ != nullptr) {
-        obs::TraceEvent ev = trace_->makeEvent("os", "lqg");
-        ev.vec("y", y.raw())
-            .vec("targets", targets.raw())
-            .vec("x", info.x.raw())
-            .vec("u_raw", info.u_raw.raw())
-            .vec("u", u.raw())
-            .flags("sat", info.saturated);
-        trace_->record(std::move(ev));
-    }
-
-    PlacementPolicy out;
-    out.threads_big =
-        std::clamp(u[0], 0.0, static_cast<double>(s.num_threads));
-    out.tpc_big = std::max(1.0, u[1]);
-    out.tpc_little = std::max(1.0, u[2]);
-    return out;
+    return placementFrom(u, 0, s.num_threads);
 }
 
-void
-LqgOsController::reset()
+JointLayer::Command
+JointLayer::command(const Vector& u, const Signals& s)
 {
-    runtime_.reset();
-    optimizer_.reset();
-}
-
-// ----------------------------------------------------------------
-// Monolithic LQG.
-// ----------------------------------------------------------------
-
-MonolithicLqgController::MonolithicLqgController(LqgRuntime runtime,
-                                                 ExdOptimizer optimizer)
-    : runtime_(std::move(runtime)), optimizer_(std::move(optimizer))
-{
-}
-
-void
-MonolithicLqgController::attachTrace(obs::TraceSink* sink)
-{
-    trace_ = sink;
-    optimizer_.attachTrace(sink, "opt-joint");
-}
-
-std::pair<HardwareInputs, PlacementPolicy>
-MonolithicLqgController::invoke(const HwSignals& hw, const OsSignals& os)
-{
-    Vector y{hw.perf_bips, hw.p_big,      hw.p_little, hw.temp,
-             os.perf_big,  os.perf_little, os.d_spare};
-    Vector targets = optimizer_.update(
-        exdMetric(hw.p_big + hw.p_little, hw.perf_bips), y);
-    LqgInvokeInfo info;
-    Vector u = runtime_.invoke(targets - y,
-                               trace_ != nullptr ? &info : nullptr);
-    if (trace_ != nullptr) {
-        obs::TraceEvent ev = trace_->makeEvent("joint", "lqg");
-        ev.vec("y", y.raw())
-            .vec("targets", targets.raw())
-            .vec("x", info.x.raw())
-            .vec("u_raw", info.u_raw.raw())
-            .vec("u", u.raw())
-            .flags("sat", info.saturated);
-        trace_->record(std::move(ev));
-    }
-
-    HardwareInputs hin;
-    hin.big_cores = static_cast<std::size_t>(std::lround(u[0]));
-    hin.little_cores = static_cast<std::size_t>(std::lround(u[1]));
-    hin.freq_big = u[2];
-    hin.freq_little = u[3];
-
-    PlacementPolicy pol;
-    pol.threads_big =
-        std::clamp(u[4], 0.0, static_cast<double>(os.num_threads));
-    pol.tpc_big = std::max(1.0, u[5]);
-    pol.tpc_little = std::max(1.0, u[6]);
-    return {hin, pol};
-}
-
-void
-MonolithicLqgController::reset()
-{
-    runtime_.reset();
-    optimizer_.reset();
+    return {HwLayer::command(u, s.hw), placementFrom(u, 4, s.os.num_threads)};
 }
 
 }  // namespace yukta::controllers

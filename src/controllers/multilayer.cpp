@@ -227,7 +227,7 @@ MultilayerSystem::stepPeriodBegin(BatchRuntime* batch)
     switch (mode) {
       case SupervisorMode::kNominal:
         if (joint_) {
-            auto [h, p] = joint_->invoke(hw_sig, os_sig);
+            auto [h, p] = joint_->invoke({hw_sig, os_sig});
             hw_in = h;
             policy = p;
         } else {

@@ -23,9 +23,6 @@ canonicalNumber(double v)
     return buf;
 }
 
-namespace {
-
-/** JSON-escapes @p s (quotes, backslashes, control characters). */
 std::string
 jsonEscape(const std::string& s)
 {
@@ -61,8 +58,6 @@ jsonEscape(const std::string& s)
     }
     return out;
 }
-
-}  // namespace
 
 TraceEvent::TraceEvent(int tick, double time, std::string layer,
                        std::string kind)

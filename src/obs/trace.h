@@ -35,6 +35,13 @@ namespace yukta::obs {
  */
 std::string canonicalNumber(double v);
 
+/**
+ * @return @p s escaped for a JSON string value: quotes, backslashes
+ * and control bytes are escaped; every other byte, UTF-8 included,
+ * passes through unchanged.
+ */
+std::string jsonEscape(const std::string& s);
+
 /** One structured trace event: identity plus ordered fields. */
 class TraceEvent
 {

@@ -5,8 +5,8 @@
 
 #include "control/state_space.h"
 #include "core/contracts.h"
+#include "core/parallel_for.h"
 #include "linalg/svd.h"
-#include "robust/parallel_for.h"
 #include "robust/worst_case.h"
 
 namespace yukta::robust {
@@ -153,7 +153,7 @@ muFrequencySweep(const control::StateSpace& n, const BlockStructure& s,
     // Each point is a pure function of its own response, so the
     // bounds are the same bits however many threads compute them.
     out.mu.resize(grid_points);
-    parallelFor(grid_points, workers, [&](std::size_t i) {
+    core::parallelFor(grid_points, workers, [&](std::size_t i) {
         out.mu[i] = computeMu(resp[i], s);
     });
     for (std::size_t i = 0; i < grid_points; ++i) {

@@ -3,11 +3,12 @@
 
 /**
  * @file
- * Fixed-size worker pool for experiment sweeps. Workers steal runs
- * from a shared queue, so long runs do not serialize behind short
- * ones. Each task gets cooperative cancellation (a deadline token it
- * may poll) and exception capture: one diverging or throwing run is
- * reported in its outcome instead of killing the sweep.
+ * Fixed-size worker pool for experiment sweeps, run through
+ * core::parallelFor: workers steal runs from a shared counter, so long
+ * runs do not serialize behind short ones. Each task gets cooperative
+ * cancellation (a deadline token it may poll) and exception capture:
+ * one diverging or throwing run is reported in its outcome instead of
+ * killing the sweep.
  */
 
 #include <chrono>
@@ -89,7 +90,9 @@ using Task = std::function<void(const CancelToken&)>;
 /**
  * Per-task completion hook, called by the worker that ran the task
  * right after its outcome is final. Called concurrently from
- * different workers; the callee synchronizes.
+ * different workers; the callee synchronizes. If hooks throw, every
+ * task still runs, and runOnPool rethrows the lowest task index's
+ * exception once every worker has joined.
  */
 using TaskCallback =
     std::function<void(std::size_t index, const TaskOutcome& outcome)>;

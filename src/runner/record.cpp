@@ -4,48 +4,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/trace.h"
+
 namespace yukta::runner {
 
-namespace {
-
-/** Escapes a string for embedding in a JSON value. */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream hex;
-                hex << "\\u" << std::hex << std::setw(4)
-                    << std::setfill('0') << static_cast<int>(c);
-                out += hex.str();
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-}  // namespace
+using obs::jsonEscape;
 
 std::string
 toJsonLine(const RunRecord& r)

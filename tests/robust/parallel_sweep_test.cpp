@@ -13,15 +13,16 @@
 #include <gtest/gtest.h>
 
 #include "control/interconnect.h"
+#include "core/parallel_for.h"
 #include "robust/dk.h"
 #include "robust/mu.h"
-#include "robust/parallel_for.h"
 #include "robust/ssv_design.h"
 
 namespace yukta::robust {
 namespace {
 
 using control::StateSpace;
+using core::parallelFor;
 using linalg::CMatrix;
 using linalg::Matrix;
 

@@ -75,10 +75,15 @@ TEST(Pool, AtMostNumWorkersDistinctThreadsRunTasks)
     }
 }
 
-TEST(Pool, ThrowingHookOnTheCallingThreadJoinsHelpersFirst)
+/**
+ * Runs two tasks on two workers, each waiting until both workers are
+ * inside one, so the caller and the helper run one task each; the
+ * completion hook throws on the caller or on the helper. The error
+ * must leave runOnPool, and only after the helper's task finished.
+ */
+void
+expectHookErrorAfterTheJoin(bool throw_on_caller)
 {
-    // Two tasks that each wait until both workers are inside one, so
-    // the caller and the helper run one task each.
     const std::thread::id caller = std::this_thread::get_id();
     std::atomic<int> entered{0};
     std::atomic<int> finished{0};
@@ -93,15 +98,28 @@ TEST(Pool, ThrowingHookOnTheCallingThreadJoinsHelpersFirst)
             finished.fetch_add(1);
         });
     }
-    EXPECT_THROW(runOnPool(tasks, 2, 0.0,
-                           [&](std::size_t, const TaskOutcome&) {
-                               if (std::this_thread::get_id() == caller) {
-                                   throw std::runtime_error("hook");
-                               }
-                           }),
-                 std::runtime_error);
-    // The helper's task finished before the error left runOnPool.
+    EXPECT_THROW(
+        runOnPool(tasks, 2, 0.0,
+                  [&](std::size_t, const TaskOutcome&) {
+                      if ((std::this_thread::get_id() == caller) ==
+                          throw_on_caller) {
+                          throw std::runtime_error("hook");
+                      }
+                  }),
+        std::runtime_error);
     EXPECT_EQ(finished.load(), 2);
+}
+
+TEST(Pool, ThrowingHookOnTheCallingThreadJoinsHelpersFirst)
+{
+    expectHookErrorAfterTheJoin(true);
+}
+
+TEST(Pool, ThrowingHookOnAHelperThreadIsRethrownAfterTheJoin)
+{
+    // A helper's error crosses to the calling thread instead of
+    // ending the process.
+    expectHookErrorAfterTheJoin(false);
 }
 
 TEST(Pool, OneThrowingTaskDoesNotKillTheSweep)

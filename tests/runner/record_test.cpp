@@ -104,6 +104,24 @@ TEST(Record, ErrorsAreEscaped)
     EXPECT_EQ(line.find('\n'), std::string::npos);
 }
 
+TEST(Record, EscapedErrorLineIsPinnedByteForByte)
+{
+    // A quote, a backslash, a newline, a raw control byte and a UTF-8
+    // sequence (passed through as is), against the whole line.
+    RunRecord r = sampleRecord();
+    r.status = TaskOutcome::Status::kError;
+    r.error = "a \"b\" c:\\d\ne\x01 caf\xc3\xa9";
+    EXPECT_EQ(toJsonLine(r),
+              "{\"index\":3,\"scheme\":\"Yukta: HW SSV+OS SSV\","
+              "\"workload\":\"blackscholes\",\"seed\":2,"
+              "\"status\":\"error\",\"wall_seconds\":1.5,\"attempts\":0,"
+              "\"exec_time\":456,\"energy\":100,\"exd\":45600,"
+              "\"completed\":true,\"emergency_time\":0,\"periods\":912,"
+              "\"trace_samples\":0,\"violation_time\":0,"
+              "\"supervised\":false,"
+              "\"error\":\"a \\\"b\\\" c:\\\\d\\ne\\u0001 caf\xc3\xa9\"}");
+}
+
 TEST(Record, WriteJsonLineAppendsNewline)
 {
     std::ostringstream os;
